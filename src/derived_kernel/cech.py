@@ -19,7 +19,6 @@ from itertools import combinations
 from .dgmodules import DgModule, chart_bounds
 from .errors import InputError
 from .exact_linear import RatMatrix
-from .parallel import parallel_map
 from .presentations import PresentedModule
 from .spectral import DoubleComplex
 
@@ -81,16 +80,12 @@ def build_cech_double_complex(m: DgModule, twist=0, trunc=LaurentTruncation(2)):
         # vertical: block diagonal module differential per chart
         tgt = labels.get((p, h - 1))
         if tgt:
-            ent = {}
             toff = offsets[(p, h - 1)]
-            for I in cover.index_sets(p):
-                b = chart_bounds(dga, I, T)
-                blk = mt.slice_matrix(h, 0, b)
-                so = offsets[(p, h)][I]
-                to = toff[I]
-                for (r, c), x in blk.entries.items():
-                    ent[(to + r, so + c)] = x
-            vertical[(p, h)] = RatMatrix(len(tgt), len(labs), ent)
+            vertical[(p, h)] = RatMatrix.from_blocks(
+                len(tgt), len(labs),
+                [(toff[I], offsets[(p, h)][I],
+                  mt.slice_matrix(h, 0, chart_bounds(dga, I, T)), 1)
+                 for I in cover.index_sets(p)])
         # horizontal: alternating restriction maps
         tgt = labels.get((p + 1, h))
         if tgt:
@@ -137,10 +132,8 @@ def sections_homotopy(m: DgModule, twist, i_range, trunc=LaurentTruncation(2)):
 
     Negative indices are meaningful (spectrum-level sections); the
     space-level sections are the truncation at zero."""
-    t0, t1 = parallel_map(
-        lambda T: build_cech_double_complex(
-            m, twist, LaurentTruncation(T)).totalize(),
-        (trunc.bound, trunc.bound + 1))
+    t0, t1 = [build_cech_double_complex(m, twist, LaurentTruncation(T))
+              .totalize() for T in (trunc.bound, trunc.bound + 1)]
     table = {}
     stable = {}
     for i in i_range:
@@ -213,6 +206,6 @@ def sheaf_cohomology(pres: PresentedModule, twist=0, trunc=LaurentTruncation(2))
         total = dc.totalize()
         return {p: total.homology(-p).dim for p in range(0, n + 1)}
 
-    a, b = parallel_map(run, (trunc.bound, trunc.bound + 1))
+    a, b = [run(T) for T in (trunc.bound, trunc.bound + 1)]
     return SheafCohomology(table=b,
                            stable={p: a[p] == b[p] for p in range(0, n + 1)})

@@ -4,8 +4,7 @@ emit deterministic JSON reports.
 Exit codes: 0 success, 2 input/grammar problems, 3 violated
 preconditions, 4 exhausted ceilings or windows, 5 internal assertion
 failures.  All output is JSON with sorted keys; byte-identical across
-runs with identical inputs and seeds.  DERIVED_KERNEL_THREADS caps the
-worker pool (default 1) without affecting output.
+runs with identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -65,6 +64,8 @@ def _window(args, m=None, dga=None):
             lo, hi = int(lo), int(hi)
         except ValueError:
             raise InputError("--window expects LO:HI")
+        if lo > hi:
+            raise InputError("--window needs LO <= HI")
         if m is not None:
             h_lo, h_hi = m.homological_span()
         else:
@@ -223,9 +224,8 @@ def _cmd_k0_group(args):
     dga = _load_scheme(args.scheme)
     if not args.window:
         raise InputError("k0-group needs --window LO:HI for the twists")
-    lo, hi = args.window.split(":")
-    J = range(int(lo), int(hi) + 1)
-    g = k0_group(dga, J, trunc=_trunc(args))
+    w = _window(args, dga=dga)
+    g = k0_group(dga, w.internal_range(), trunc=_trunc(args))
     return {"group": {"free_rank": g.free_rank,
                       "torsion": list(g.torsion),
                       "generators": list(g.twists),
@@ -277,8 +277,7 @@ def build_parser():
                     "projective space: Cech cohomology, descent spectral "
                     "sequences, twisting bounds, and K0 presentations.",
         epilog="Input files are flat 'key = value' text; all reports are "
-               "JSON with deterministic key order. DERIVED_KERNEL_THREADS "
-               "caps internal workers (default 1).")
+               "JSON with deterministic key order.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in sorted(_COMMANDS):
         p = sub.add_parser(name)

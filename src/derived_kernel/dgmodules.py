@@ -16,9 +16,10 @@ Shifting a module by s multiplies its differential by (-1)^s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import add
 
-from .dga import DgaElement, KoszulDga, as_element, laurent_monomials
+from .dga import (DgaElement, KoszulDga, as_element, laurent_monomials,
+                  _merge_sign)
 from .exact_linear import RatMatrix, TrackedEchelon, kernel_basis
 
 
@@ -68,6 +69,8 @@ class DgModule:
                 if not el.is_zero():
                     d[(i, j)] = el
         self.diff = dict(sorted(d.items()))
+        self._columns = _by_column(self.diff)
+        self._stencils = {}
         self.shift_offset = shift_offset
         self._slice_cache = {}
         self._matrix_cache = {}
@@ -104,9 +107,8 @@ class DgModule:
             for (exps, es), coef in c.terms.items():
                 sign = -1 if len(es) % 2 else 1
                 mono = self.dga.element({(exps, es): coef * sign})
-                for (k, jj), ent in self.diff.items():
-                    if jj == i:
-                        out[k] = out.get(k, self.dga.zero()) + mono * ent
+                for k, ent in self._columns.get(i, ()):
+                    out[k] = out.get(k, self.dga.zero()) + mono * ent
         return {k: v for k, v in out.items() if not v.is_zero()}
 
     def gen_unit(self, i):
@@ -159,21 +161,29 @@ class DgModule:
         hit = self._matrix_cache.get(key)
         if hit is not None:
             return hit
-        src = self.slice_basis(h, d, bounds)
-        tgt = self.slice_basis(h - 1, d, bounds)
-        index = {lab: k for k, lab in enumerate(tgt)}
-        ent = {}
-        for col, (gi, es, m) in enumerate(src):
-            elem = {gi: self.dga.element({(m, es): 1})}
-            img = self.apply_d(elem)
-            for k, c in img.items():
-                for (exps, es2), coef in c.terms.items():
-                    row = index.get((k, es2, exps))
-                    assert row is not None, "slice differential left bounds"
-                    ent[(row, col)] = ent.get((row, col), Fraction(0)) + coef
-        mat = RatMatrix(len(tgt), len(src), ent)
+        mat = _fill_slice_matrix(self.slice_basis(h, d, bounds),
+                                self.slice_basis(h - 1, d, bounds),
+                                self._stencil)
         self._matrix_cache[key] = mat
         return mat
+
+    def _stencil(self, gi, es):
+        """d(e_es * g_gi) as terms (target gen, target e-set, exponent
+        shift, coefficient), compiled once per (generator, e-set): the
+        Leibniz term d(e_es) * g_gi, then (-1)^|es| e_es * d(g_gi)."""
+        key = (gi, es)
+        hit = self._stencils.get(key)
+        if hit is None:
+            hit = []
+            for t, j in enumerate(es):
+                rest = es[:t] + es[t + 1:]
+                sign = -1 if t % 2 else 1
+                for (fexps, _), fc in self.dga.sections[j - 1].terms.items():
+                    hit.append((gi, rest, fexps, sign * fc))
+            hit.extend(_product_stencil(self._columns.get(gi, ()), es,
+                                        -1 if len(es) % 2 else 1))
+            self._stencils[key] = hit
+        return hit
 
     def homology(self, h, d, bounds=None):
         if bounds is None:
@@ -224,6 +234,42 @@ class DgModule:
 
     def __repr__(self):
         return "DgModule(%d gens over %r)" % (len(self.gens), self.dga)
+
+
+def _by_column(entries):
+    """{(i, j): element} sorted by (i, j) -> {j: [(i, element)]}."""
+    out = {}
+    for (i, j), ent in entries.items():
+        out.setdefault(j, []).append((i, ent))
+    return out
+
+
+def _product_stencil(column, es, sign):
+    """Stencil terms of sign * e_es * ent for the (target, ent) pairs of
+    one generator's column."""
+    out = []
+    for k, ent in column:
+        for (fexps, fes), fc in ent.terms.items():
+            merged, msign = _merge_sign(es, fes)
+            if merged is not None:
+                out.append((k, merged, fexps, sign * msign * fc))
+    return out
+
+
+def _fill_slice_matrix(src, tgt, stencil):
+    """Matrix from slice basis `src` to slice basis `tgt` whose column
+    (g, es, m) is sum c * (k, es2, m + shift) over the terms
+    (k, es2, shift, c) of stencil(g, es)."""
+    index = {lab: k for k, lab in enumerate(tgt)}
+    columns = []
+    for gi, es, m in src:
+        col = {}
+        for k, es2, shift, c in stencil(gi, es):
+            row = index.get((k, es2, tuple(map(add, m, shift))))
+            assert row is not None, "slice differential left bounds"
+            col[row] = col[row] + c if row in col else c
+        columns.append(col)
+    return RatMatrix.from_columns(columns, len(tgt))
 
 
 class HomologyData:
@@ -278,6 +324,8 @@ class ModuleMap:
                 if not el.is_zero():
                     ent[(i, j)] = el
         self.entries = dict(sorted(ent.items()))
+        self._columns = _by_column(self.entries)
+        self._stencils = {}
         if check:
             self._validate()
 
@@ -301,27 +349,26 @@ class ModuleMap:
     def apply(self, elem):
         out = {}
         for j, c in elem.items():
-            for (i, jj), ent in self.entries.items():
-                if jj == j:
-                    out[i] = out.get(i, self.dga.zero()) + c * ent
+            for i, ent in self._columns.get(j, ()):
+                out[i] = out.get(i, self.dga.zero()) + c * ent
         return {k: v for k, v in out.items() if not v.is_zero()}
 
     def slice_matrix(self, h, d, bounds=None):
         """Induced map on (h, d) slices."""
         if bounds is None:
             bounds = global_bounds(self.dga)
-        src = self.source.slice_basis(h, d, bounds)
-        tgt = self.target.slice_basis(h, d, bounds)
-        index = {lab: k for k, lab in enumerate(tgt)}
-        ent = {}
-        for col, (gi, es, m) in enumerate(src):
-            img = self.apply({gi: self.dga.element({(m, es): 1})})
-            for k, c in img.items():
-                for (exps, es2), coef in c.terms.items():
-                    row = index.get((k, es2, exps))
-                    assert row is not None
-                    ent[(row, col)] = ent.get((row, col), Fraction(0)) + coef
-        return RatMatrix(len(tgt), len(src), ent)
+        return _fill_slice_matrix(self.source.slice_basis(h, d, bounds),
+                                 self.target.slice_basis(h, d, bounds),
+                                 self._stencil)
+
+    def _stencil(self, gi, es):
+        """e_es * f(g_gi) as slice stencil terms, compiled once."""
+        key = (gi, es)
+        hit = self._stencils.get(key)
+        if hit is None:
+            hit = _product_stencil(self._columns.get(gi, ()), es, 1)
+            self._stencils[key] = hit
+        return hit
 
     def homology_matrix(self, h, d, bounds=None):
         """Induced map on homology representatives at (h, d)."""

@@ -1,10 +1,13 @@
 """Exact rational and integer linear algebra.
 
 All computations run over Q via `fractions.Fraction`; no floating point
-anywhere.  Matrices are sparse (only nonzero entries stored) and every
-routine is deterministic: pivots are chosen by fixed tie-breaking rules
-and results iterate in sorted order, so identical inputs give bit-exact
-identical outputs across runs.
+anywhere.  A matrix is stored once, as compressed sparse columns (only
+nonzero entries, rows ascending within each column), and is read-only
+after construction: routines that need rows build a throwaway row view,
+and every dict a matrix hands out is a copy.  Every routine is
+deterministic: pivots are chosen by fixed tie-breaking rules and results
+iterate in sorted order, so identical inputs give bit-exact identical
+outputs across runs.
 
 Vectors are plain dicts {index: Fraction} holding only nonzero entries.
 """
@@ -52,108 +55,135 @@ def vec_axpy(out, c, u):
 
 
 class RatMatrix:
-    """Sparse rows x cols matrix over Q.
+    """Sparse rows x cols matrix over Q in compressed sparse columns.
 
-    Invariants: stored entries are nonzero and indices lie within
-    bounds; iteration over entries is sorted by (row, col).
+    The one store is three flat tuples: column c holds the rows
+    `row_idx[ptr[c]:ptr[c+1]]`, strictly increasing, with the nonzero
+    values `vals[ptr[c]:ptr[c+1]]`.  A matrix is read-only after
+    construction and nothing is cached beside the store; row views are
+    built on demand by the routines that need them and dicts handed
+    out (`column`, `row_dicts`, `entries`) are fresh copies.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "ptr", "row_idx", "vals")
 
     def __init__(self, rows, cols, entries=None):
         assert rows >= 0 and cols >= 0
-        self.rows = rows
-        self.cols = cols
-        ent = {}
+        columns = [{} for _ in range(cols)]
         if entries:
             items = entries.items() if isinstance(entries, dict) else entries
             for (r, c), x in items:
                 assert 0 <= r < rows and 0 <= c < cols, (r, c, rows, cols)
-                x = Fraction(x)
                 if x:
-                    ent[(r, c)] = x
-        self.entries = dict(sorted(ent.items()))
+                    columns[c][r] = x
+        self._fill(rows, columns)
+
+    def _fill(self, rows, columns):
+        ptr, row_idx, vals = [0], [], []
+        for col in columns:
+            for r in sorted(col):
+                x = col[r]
+                assert 0 <= r < rows, (r, rows)
+                if type(x) is not Fraction:
+                    x = Fraction(x)
+                if x:
+                    row_idx.append(r)
+                    vals.append(x)
+            ptr.append(len(vals))
+        self.rows = rows
+        self.cols = len(columns)
+        self.ptr = tuple(ptr)
+        self.row_idx = tuple(row_idx)
+        self.vals = tuple(vals)
+
+    @property
+    def entries(self):
+        """{(row, col): value} in (row, col) order; a fresh dict."""
+        ptr, row_idx = self.ptr, self.row_idx
+        keys = [(row_idx[k], c) for c in range(self.cols)
+                for k in range(ptr[c], ptr[c + 1])]
+        return {key: x for key, x in sorted(zip(keys, self.vals))}
 
     def __eq__(self, other):
         return (isinstance(other, RatMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self.ptr == other.ptr
+                and self.row_idx == other.row_idx and self.vals == other.vals)
 
     def __repr__(self):
         return "RatMatrix(%d, %d, %r)" % (self.rows, self.cols, self.entries)
 
     @classmethod
-    def from_rows(cls, rows_list, cols):
-        ent = {}
-        for r, row in enumerate(rows_list):
-            for c, x in row.items():
-                ent[(r, c)] = x
-        return cls(len(rows_list), cols, ent)
+    def from_columns(cls, cols_list, rows):
+        """Matrix whose column c is the sparse dict cols_list[c]."""
+        m = cls.__new__(cls)
+        m._fill(rows, cols_list)
+        return m
 
     @classmethod
-    def from_columns(cls, cols_list, rows):
-        ent = {}
-        for c, col in enumerate(cols_list):
-            for r, x in col.items():
-                ent[(r, c)] = x
-        return cls(rows, len(cols_list), ent)
+    def from_blocks(cls, rows, cols, blocks):
+        """Matrix assembled from (row offset, col offset, block, sign)
+        pieces with disjoint supports."""
+        columns = [{} for _ in range(cols)]
+        for r0, c0, blk, sign in blocks:
+            ptr, row_idx = blk.ptr, blk.row_idx
+            vals = blk.vals if sign == 1 else [sign * x for x in blk.vals]
+            for c in range(blk.cols):
+                col = columns[c0 + c]
+                for k in range(ptr[c], ptr[c + 1]):
+                    col[r0 + row_idx[k]] = vals[k]
+        return cls.from_columns(columns, rows)
+
+    def submatrix(self, row_keep, col_keep):
+        """The rows `row_keep` and columns `col_keep`, renumbered from 0
+        in the order given."""
+        row_pos = {r: i for i, r in enumerate(row_keep)}
+        ptr, row_idx, vals = self.ptr, self.row_idx, self.vals
+        columns = []
+        for c in col_keep:
+            col = {}
+            for k in range(ptr[c], ptr[c + 1]):
+                i = row_pos.get(row_idx[k])
+                if i is not None:
+                    col[i] = vals[k]
+            columns.append(col)
+        return RatMatrix.from_columns(columns, len(row_keep))
 
     def row_dicts(self):
         rows = [dict() for _ in range(self.rows)]
-        for (r, c), x in self.entries.items():
-            rows[r][c] = x
+        ptr, row_idx, vals = self.ptr, self.row_idx, self.vals
+        for c in range(self.cols):
+            for k in range(ptr[c], ptr[c + 1]):
+                rows[row_idx[k]][c] = vals[k]
         return rows
 
     def column(self, c):
-        return {r: x for (r, cc), x in self.entries.items() if cc == c}
-
-    def transpose(self):
-        return RatMatrix(self.cols, self.rows,
-                         {(c, r): x for (r, c), x in self.entries.items()})
+        a, b = self.ptr[c], self.ptr[c + 1]
+        return dict(zip(self.row_idx[a:b], self.vals[a:b]))
 
     def apply(self, vec):
-        """Matrix times sparse column vector."""
-        out = {}
-        rows = self.row_dicts()
-        for r, row in enumerate(rows):
-            s = ZERO
-            for c, x in row.items():
-                v = vec.get(c)
-                if v is not None:
-                    s += x * v
-            if s:
-                out[r] = s
-        return out
+        """Matrix times sparse column vector: walks the columns in the
+        support of `vec` (keys outside 0..cols-1 are ignored); the
+        result has no zero entries and ascending rows."""
+        return self._times(vec)
+
+    def _times(self, vec):
+        acc = {}
+        ptr, row_idx, vals, ncols = self.ptr, self.row_idx, self.vals, self.cols
+        for c, v in vec.items():
+            if 0 <= c < ncols:
+                for k in range(ptr[c], ptr[c + 1]):
+                    r = row_idx[k]
+                    acc[r] = acc.get(r, ZERO) + vals[k] * v
+        return {r: acc[r] for r in sorted(acc) if acc[r]}
 
     def mul(self, other):
         assert self.cols == other.rows
-        orows = other.row_dicts()
-        ent = {}
-        srows = self.row_dicts()
-        for r, row in enumerate(srows):
-            acc = {}
-            for k, x in sorted(row.items()):
-                vec_axpy(acc, x, orows[k])
-            for c, x in acc.items():
-                ent[(r, c)] = x
-        return RatMatrix(self.rows, other.cols, ent)
-
-    def add(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        ent = dict(self.entries)
-        for k, x in other.entries.items():
-            s = ent.get(k, ZERO) + x
-            if s:
-                ent[k] = s
-            else:
-                ent.pop(k, None)
-        return RatMatrix(self.rows, self.cols, ent)
-
-    def scale(self, c):
-        return RatMatrix(self.rows, self.cols,
-                         {k: c * x for k, x in self.entries.items()})
+        return RatMatrix.from_columns(
+            [self._times(other.column(c)) for c in range(other.cols)],
+            self.rows)
 
     def is_zero(self):
-        return not self.entries
+        return not self.vals
 
 
 class Echelon:
@@ -251,36 +281,51 @@ def kernel_basis(m: RatMatrix):
     Gaussian elimination with pivot columns processed in increasing
     order (reduced echelon); among candidate pivot rows the sparsest
     wins, ties by lowest row index.  Kernel vectors are emitted in
-    increasing order of their free column.
+    increasing order of their free column.  Candidates come from a
+    column -> rows index over a throwaway row view, kept current as
+    elimination fills in and cancels entries.
     """
-    rows = [r for r in m.row_dicts() if r]
-    pivots = {}  # col -> reduced row
+    if not m.vals:  # zero map, often into an empty slice
+        return [{c: ONE} for c in range(m.cols)]
+    rows = m.row_dicts()
+    ptr, row_idx = m.ptr, m.row_idx
+    where = [set(row_idx[ptr[c]:ptr[c + 1]])   # col -> rows nonzero there
+             for c in range(m.cols)]
+    pivot_of = {}                              # pivot row index -> col
     for col in range(m.cols):
-        cand = [(len(r), i) for i, r in enumerate(rows) if col in r]
+        hits = where[col]
+        cand = [(len(rows[i]), i) for i in hits if i not in pivot_of]
         if not cand:
             continue
         _, idx = min(cand)
-        row = rows.pop(idx)
+        row = rows[idx]
         inv = ONE / row[col]
-        row = {k: inv * x for k, x in row.items()}
-        for r in rows:
-            if col in r:
-                vec_axpy(r, -r[col], row)
-        for p, prow in pivots.items():
-            if col in prow:
-                vec_axpy(prow, -prow[col], row)
-        pivots[col] = row
-        rows = [r for r in rows if r]
+        for k in row:
+            row[k] = inv * row[k]
+        for i in list(hits):
+            if i == idx:
+                continue
+            r = rows[i]
+            f = -r[col]
+            for k, x in row.items():
+                s = r.get(k, ZERO) + f * x
+                if s:
+                    if k not in r:
+                        where[k].add(i)
+                    r[k] = s
+                else:
+                    del r[k]
+                    where[k].discard(i)
+        pivot_of[idx] = col
+    # every non-pivot row was eliminated, so `where` holds pivot rows only
     basis = []
-    pivot_cols = set(pivots)
+    pivot_cols = set(pivot_of.values())
     for free in range(m.cols):
         if free in pivot_cols:
             continue
         v = {free: ONE}
-        for p, prow in pivots.items():
-            c = prow.get(free)
-            if c:
-                v[p] = -c
+        for i in where[free]:
+            v[pivot_of[i]] = -rows[i][free]
         lead = ONE / v[min(v)]  # lowest-index entry normalized to +1
         basis.append({k: lead * x for k, x in sorted(v.items())})
     return basis

@@ -32,7 +32,7 @@ from .dgmodules import (
     koszul_module,
     tensor_with_koszul,
 )
-from .errors import PreconditionError, SearchExhausted
+from .errors import InputError, PreconditionError, SearchExhausted
 from .exact_linear import (
     integer_row_space_contains,
     smith_normal_form,
@@ -579,7 +579,9 @@ def check_resolution_independence(m: DgModule, trials=3, seed=1,
     """Distinct seeded generator choices (including deliberately
     redundant sets) must give the same class modulo the relation
     lattice."""
-    assert trials >= 2
+    if trials < 2:
+        raise InputError("independence needs at least 2 trials, got %d"
+                         % trials)
     classes = []
     for t in range(trials):
         s = 0 if t == 0 else seed + t

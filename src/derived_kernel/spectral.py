@@ -19,7 +19,6 @@ everything by exact linear algebra on explicit bases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .exact_linear import (
     Echelon,
@@ -70,8 +69,8 @@ class DoubleComplex:
             # commuting raw differentials = anticommuting in the
             # (-1)^h-twisted convention used by the totalization
             a = self.vmat(p + 1, h).mul(h1)
-            b = self.hmat(p, h - 1).mul(v1)
-            assert a.add(b.scale(-1)).is_zero(), "differentials do not commute"
+            assert a == self.hmat(p, h - 1).mul(v1), \
+                "differentials do not commute"
 
     def span(self):
         ps = [p for p, _ in self.cells]
@@ -116,23 +115,15 @@ class TotalComplex:
         """D: T_m -> T_(m-1)."""
         if m in self._dmat:
             return self._dmat[m]
-        src = self.basis.get(m, [])
         tgt_off = self.offsets.get(m - 1, {})
-        ent = {}
-        src_off = self.offsets.get(m, {})
-        for (p, h), off in src_off.items():
-            v = self.dc.vmat(p, h)
+        blocks = []
+        for (p, h), off in self.offsets.get(m, {}).items():
             if (p, h - 1) in tgt_off:
-                t = tgt_off[(p, h - 1)]
-                for (r, c), x in v.entries.items():
-                    ent[(t + r, off + c)] = x
-            hmat = self.dc.hmat(p, h)
+                blocks.append((tgt_off[(p, h - 1)], off, self.dc.vmat(p, h), 1))
             if (p + 1, h) in tgt_off:
-                t = tgt_off[(p + 1, h)]
-                sign = Fraction(-1 if h % 2 else 1)
-                for (r, c), x in hmat.entries.items():
-                    ent[(t + r, off + c)] = sign * x
-        mat = RatMatrix(len(self.basis.get(m - 1, ())), len(src), ent)
+                blocks.append((tgt_off[(p + 1, h)], off, self.dc.hmat(p, h),
+                               -1 if h % 2 else 1))
+        mat = RatMatrix.from_blocks(self.dim(m - 1), self.dim(m), blocks)
         self._dmat[m] = mat
         return mat
 
@@ -200,13 +191,7 @@ class SpectralSequence:
         rows_keep = [k for k, (pp, hh, i) in
                      enumerate(self.total.basis.get(m - 1, []))
                      if p <= pp < p + r]
-        ent = {}
-        row_pos = {k: i for i, k in enumerate(rows_keep)}
-        col_pos = {k: i for i, k in enumerate(cols)}
-        for (rr, cc), x in d.entries.items():
-            if rr in row_pos and cc in col_pos:
-                ent[(row_pos[rr], col_pos[cc])] = x
-        mat = RatMatrix(len(rows_keep), len(cols), ent)
+        mat = d.submatrix(rows_keep, cols)
         kern = kernel_basis(mat)
         out = []
         for v in kern:

@@ -1,0 +1,156 @@
+"""Reference implementations kept as oracles for the sparse core.
+
+`RefMatrix`, `ref_kernel_basis`, `ref_rank` and `ref_solve` are the
+dict-of-entries matrix and the row-scanning elimination the kernel used
+before it moved to compressed columns; `ref_slice_matrix` and
+`ref_map_slice_matrix` build slice matrices by applying the module
+differential (or the map) to one basis element at a time.  The property
+tests require the kernel to reproduce them exactly, key order included.
+"""
+
+from fractions import Fraction
+
+from derived_kernel.dgmodules import global_bounds
+from derived_kernel.exact_linear import (
+    ONE,
+    ZERO,
+    Echelon,
+    TrackedEchelon,
+    vec_axpy,
+)
+
+
+class RefMatrix:
+    """Sparse rows x cols matrix over Q stored as {(row, col): value},
+    iterated in (row, col) order."""
+
+    def __init__(self, rows, cols, entries=None):
+        assert rows >= 0 and cols >= 0
+        self.rows = rows
+        self.cols = cols
+        ent = {}
+        if entries:
+            items = entries.items() if isinstance(entries, dict) else entries
+            for (r, c), x in items:
+                assert 0 <= r < rows and 0 <= c < cols, (r, c, rows, cols)
+                x = Fraction(x)
+                if x:
+                    ent[(r, c)] = x
+        self.entries = dict(sorted(ent.items()))
+
+    def row_dicts(self):
+        rows = [dict() for _ in range(self.rows)]
+        for (r, c), x in self.entries.items():
+            rows[r][c] = x
+        return rows
+
+    def column(self, c):
+        return {r: x for (r, cc), x in self.entries.items() if cc == c}
+
+    def apply(self, vec):
+        out = {}
+        rows = self.row_dicts()
+        for r, row in enumerate(rows):
+            s = ZERO
+            for c, x in row.items():
+                v = vec.get(c)
+                if v is not None:
+                    s += x * v
+            if s:
+                out[r] = s
+        return out
+
+    def mul(self, other):
+        assert self.cols == other.rows
+        orows = other.row_dicts()
+        ent = {}
+        srows = self.row_dicts()
+        for r, row in enumerate(srows):
+            acc = {}
+            for k, x in sorted(row.items()):
+                vec_axpy(acc, x, orows[k])
+            for c, x in acc.items():
+                ent[(r, c)] = x
+        return RefMatrix(self.rows, other.cols, ent)
+
+
+def ref_kernel_basis(m):
+    rows = [r for r in m.row_dicts() if r]
+    pivots = {}
+    for col in range(m.cols):
+        cand = [(len(r), i) for i, r in enumerate(rows) if col in r]
+        if not cand:
+            continue
+        _, idx = min(cand)
+        row = rows.pop(idx)
+        inv = ONE / row[col]
+        row = {k: inv * x for k, x in row.items()}
+        for r in rows:
+            if col in r:
+                vec_axpy(r, -r[col], row)
+        for p, prow in pivots.items():
+            if col in prow:
+                vec_axpy(prow, -prow[col], row)
+        pivots[col] = row
+        rows = [r for r in rows if r]
+    basis = []
+    pivot_cols = set(pivots)
+    for free in range(m.cols):
+        if free in pivot_cols:
+            continue
+        v = {free: ONE}
+        for p, prow in pivots.items():
+            c = prow.get(free)
+            if c:
+                v[p] = -c
+        lead = ONE / v[min(v)]
+        basis.append({k: lead * x for k, x in sorted(v.items())})
+    return basis
+
+
+def ref_rank(m):
+    e = Echelon()
+    for row in m.row_dicts():
+        if row:
+            e.add(row)
+    return e.dim
+
+
+def ref_solve(m, b):
+    te = TrackedEchelon()
+    for c in range(m.cols):
+        te.add(m.column(c), tag=c)
+    return te.coordinates(b)
+
+
+def _fill(src, tgt, image):
+    index = {lab: k for k, lab in enumerate(tgt)}
+    ent = {}
+    for col, (gi, es, m) in enumerate(src):
+        for k, c in image(gi, es, m).items():
+            for (exps, es2), coef in c.terms.items():
+                row = index.get((k, es2, exps))
+                assert row is not None, "slice differential left bounds"
+                ent[(row, col)] = ent.get((row, col), Fraction(0)) + coef
+    return RefMatrix(len(tgt), len(src), ent)
+
+
+def ref_slice_matrix(module, h, d, bounds=None):
+    """d: slice(h, d) -> slice(h-1, d) through `apply_d`."""
+    if bounds is None:
+        bounds = global_bounds(module.dga)
+    dga = module.dga
+    return _fill(module.slice_basis(h, d, bounds),
+                 module.slice_basis(h - 1, d, bounds),
+                 lambda gi, es, m: module.apply_d(
+                     {gi: dga.element({(m, es): 1})}))
+
+
+def ref_map_slice_matrix(f, h, d, bounds=None):
+    """Induced map on (h, d) slices through `ModuleMap.apply`."""
+    if bounds is None:
+        bounds = global_bounds(f.dga)
+    dga = f.dga
+    return _fill(f.source.slice_basis(h, d, bounds),
+                 f.target.slice_basis(h, d, bounds),
+                 lambda gi, es, m: f.apply({gi: dga.element({(m, es): 1})}))

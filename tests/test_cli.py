@@ -168,6 +168,31 @@ def test_exit_code_parse_error(files, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("window", ["--window=a:b", "--window=3",
+                                    "--window=2:1"])
+def test_k0_group_malformed_window(files, capsys, window):
+    code = main(["k0-group", "--scheme", files["p1"], window])
+    assert code == 2
+    assert "--window" in capsys.readouterr().err
+
+
+def test_verify_rejects_single_trial(files, capsys):
+    code = main(["verify", "--scheme", files["p1"], "--trials", "1"])
+    assert code == 2
+    assert "at least 2 trials" in capsys.readouterr().err
+
+
+def test_verify_rejects_single_trial_without_asserts(files):
+    # the check is not an assert, so `python -O` must not skip it
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "derived_kernel.cli", "verify",
+         "--scheme", files["p1"], "--trials", "1"],
+        capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "at least 2 trials" in out.stderr
+
+
 def test_exit_code_precondition(files, tmp_path):
     mod = files["dir"] / "shifted.mod"
     mod.write_text("generator = g0 : h=0 : a=0\nshift = -1\n")

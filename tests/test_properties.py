@@ -117,23 +117,6 @@ def test_exit_code_internal_assertion(tmp_path, monkeypatch):
     assert code == 5
 
 
-def test_thread_cap_does_not_change_output(monkeypatch):
-    from derived_kernel.cech import sections_homotopy, sheaf_cohomology
-    from derived_kernel.presentations import presented_free
-
-    p1 = corpus.p1()
-    pres = presented_free(p1, [-2])
-    m = structure_sheaf(corpus.double_point())
-    seq_coh = sheaf_cohomology(pres, 0, T)
-    seq_sec = sections_homotopy(m, 0, range(0, 3), T)
-    monkeypatch.setenv("DERIVED_KERNEL_THREADS", "4")
-    par_coh = sheaf_cohomology(pres, 0, T)
-    par_sec = sections_homotopy(m, 0, range(0, 3), T)
-    assert seq_coh.table == par_coh.table
-    assert seq_coh.stable == par_coh.stable
-    assert seq_sec.table == par_sec.table
-
-
 def test_shift_sign_rule_in_k0():
     p1 = corpus.p1()
     pt = corpus.point_sheaf(p1)
