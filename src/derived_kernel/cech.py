@@ -13,7 +13,6 @@ certified regularity bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .dgmodules import DgModule, chart_bounds
@@ -99,7 +98,7 @@ def build_cech_double_complex(m: DgModule, twist=0, trunc=LaurentTruncation(2)):
                     if j in I:
                         continue
                     I2 = tuple(sorted(I + (j,)))
-                    sign = Fraction(-1 if I2.index(j) % 2 else 1)
+                    sign = -1 if I2.index(j) % 2 else 1
                     row = tindex.get((I2, lab))
                     assert row is not None
                     ent[(row, col)] = sign
@@ -182,7 +181,7 @@ def _presented_cech_complex(pres: PresentedModule, twist, trunc):
                 if j in I:
                     continue
                 I2 = tuple(sorted(I + (j,)))
-                sign = Fraction(-1 if I2.index(j) % 2 else 1)
+                sign = -1 if I2.index(j) % 2 else 1
                 base = offsets[p + 1][I2]
                 for row, x in slices[I2].coords_of(g, exps).items():
                     ent[(base + row, col)] = sign * x

@@ -2,9 +2,9 @@
 emit deterministic JSON reports.
 
 Exit codes: 0 success, 2 input/grammar problems, 3 violated
-preconditions, 4 exhausted ceilings or windows, 5 internal assertion
-failures.  All output is JSON with sorted keys; byte-identical across
-runs with identical inputs and seeds.
+preconditions, 4 exhausted ceilings or windows, 5 failed internal
+assertions or checks.  All output is JSON with sorted keys;
+byte-identical across runs with identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -17,7 +17,12 @@ import sys
 from .cech import LaurentTruncation, build_cech_double_complex, \
     sections_homotopy, sheaf_cohomology
 from .dgmodules import DegreeWindow, cone, free_module
-from .errors import InputError, PreconditionError, SearchExhausted
+from .errors import (
+    InputError,
+    InternalCheckFailed,
+    PreconditionError,
+    SearchExhausted,
+)
 from .k_theory import (
     check_cofibre_additivity,
     check_resolution_independence,
@@ -325,7 +330,7 @@ def main(argv=None):
             msg += " (%s)" % exc.suggestion
         print("search exhausted: %s" % msg, file=sys.stderr)
         return 4
-    except AssertionError as exc:
+    except (AssertionError, InternalCheckFailed) as exc:
         print("internal assertion failed: %s" % exc, file=sys.stderr)
         return 5
     _emit(args, payload)

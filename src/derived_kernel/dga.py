@@ -5,7 +5,8 @@ and homological degree 0.  A Koszul dg-algebra adds one odd generator
 e_j per homogeneous section f_j (homological degree 1, internal degree
 deg f_j) with d(e_j) = f_j extended as a derivation.  Elements are
 stored as {(exponent tuple, sorted e-index tuple): coefficient} with
-exact rational coefficients.
+exact rational coefficients in the canonical form of `exact_linear`
+(an int when integral, else a Fraction).
 
 Sign conventions, fixed once and asserted by the d*d = 0 tests:
   e_i * e_j = -e_j * e_i,   e_j * e_j = 0,
@@ -14,10 +15,10 @@ Sign conventions, fixed once and asserted by the d*d = 0 tests:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import HomogeneityError, InputError
+from .exact_linear import _q
 
 
 @lru_cache(maxsize=None)
@@ -88,7 +89,7 @@ class DgaElement:
         clean = {}
         if terms:
             for (exps, es), c in (terms.items() if isinstance(terms, dict) else terms):
-                c = Fraction(c)
+                c = _q(c)
                 if c:
                     clean[(tuple(exps), tuple(es))] = c
         self.terms = dict(sorted(clean.items()))
@@ -120,7 +121,7 @@ class DgaElement:
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _q(c)
         return DgaElement(self.dga, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -311,5 +312,5 @@ def make_koszul_dga(ambient_dim, sections):
                 raise InputError("sections must not contain odd generators")
             raw.append(({exps: c for (exps, _), c in f.terms.items()}, dj))
         else:
-            raw.append(({tuple(e): Fraction(c) for e, c in f.items()}, dj))
+            raw.append(({tuple(e): _q(c) for e, c in f.items()}, dj))
     return KoszulDga(base, raw)

@@ -2,7 +2,7 @@
 
 The CLI maps these onto its exit-code contract: input/grammar problems
 exit 2, violated preconditions 3, exhausted ceilings or windows 4, and
-internal assertion failures 5.
+failed internal assertions or checks 5.
 """
 
 
@@ -29,3 +29,14 @@ class SearchExhausted(RuntimeError):
     def __init__(self, message, suggestion=None):
         super().__init__(message)
         self.suggestion = suggestion
+
+
+class InternalCheckFailed(RuntimeError):
+    """A computed result failed an internal consistency check."""
+
+
+def require(cond, message):
+    """Raise InternalCheckFailed unless `cond`.  Unlike `assert`, the
+    check still runs under `python -O`."""
+    if not cond:
+        raise InternalCheckFailed(message)

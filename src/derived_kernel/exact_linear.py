@@ -1,15 +1,25 @@
 """Exact rational and integer linear algebra.
 
-All computations run over Q via `fractions.Fraction`; no floating point
-anywhere.  A matrix is stored once, as compressed sparse columns (only
-nonzero entries, rows ascending within each column), and is read-only
-after construction: routines that need rows build a throwaway row view,
-and every dict a matrix hands out is a copy.  Every routine is
+Every scalar is exact and canonical: a Python `int` when it is integral,
+and a `fractions.Fraction` (denominator > 1) only when it is not; there
+is no floating point anywhere.  Sums and products of ints stay ints, so
+the small integer entries that dominate (signs, section coefficients,
+unit pivots) never allocate a Fraction or pay a gcd.  A result that may
+be an integral Fraction goes through `_q`, and the only division is the
+pivot inverse `_recip`: no `/` is applied to a scalar anywhere else,
+since `int / int` would give a float.  `int(n) == Fraction(n)` with
+equal hashes and equal `str`, so canonical scalars print and compare as
+the Fractions they stand for.
+
+A matrix is stored once, as compressed sparse columns (only nonzero
+entries, rows ascending within each column), and is read-only after
+construction: routines that need rows build a throwaway row view, and
+every dict a matrix hands out is a copy.  Every routine is
 deterministic: pivots are chosen by fixed tie-breaking rules and results
 iterate in sorted order, so identical inputs give bit-exact identical
 outputs across runs.
 
-Vectors are plain dicts {index: Fraction} holding only nonzero entries.
+Vectors are plain dicts {index: scalar} holding only nonzero entries.
 """
 
 from __future__ import annotations
@@ -18,18 +28,40 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-Scalar = Fraction
+from .errors import require
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+_FRACTION_ONE = Fraction(1)
+
+
+def _q(x):
+    """The canonical scalar equal to x: an int when x is integral, else
+    a Fraction.  Inputs other than int and Fraction go through
+    `Fraction(x)` first."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _recip(x):
+    """1/x for a nonzero scalar, canonical; the one division."""
+    if x == 1 or x == -1:
+        return x
+    return _q(_FRACTION_ONE / x)
+
+
+def _canonical(vec):
+    """A fresh copy of a foreign vector with canonical, nonzero values."""
+    return {k: x if type(x) is int else _q(x) for k, x in vec.items() if x}
 
 
 def vec_add(u, v):
     out = dict(u)
     for k, x in v.items():
-        s = out.get(k, ZERO) + x
+        s = out.get(k, 0) + x
         if s:
-            out[k] = s
+            out[k] = s if type(s) is int else _q(s)
         else:
             out.pop(k, None)
     return out
@@ -38,7 +70,9 @@ def vec_add(u, v):
 def vec_scale(c, u):
     if not c:
         return {}
-    return {k: c * x for k, x in u.items()}
+    if c == 1:
+        return dict(u)
+    return {k: _q(c * x) for k, x in u.items()}
 
 
 def vec_axpy(out, c, u):
@@ -46,9 +80,9 @@ def vec_axpy(out, c, u):
     if not c:
         return out
     for k, x in u.items():
-        s = out.get(k, ZERO) + c * x
+        s = out.get(k, 0) + c * x
         if s:
-            out[k] = s
+            out[k] = s if type(s) is int else _q(s)
         else:
             out.pop(k, None)
     return out
@@ -59,7 +93,9 @@ class RatMatrix:
 
     The one store is three flat tuples: column c holds the rows
     `row_idx[ptr[c]:ptr[c+1]]`, strictly increasing, with the nonzero
-    values `vals[ptr[c]:ptr[c+1]]`.  A matrix is read-only after
+    values `vals[ptr[c]:ptr[c+1]]`, each a canonical scalar (int when
+    integral, Fraction otherwise; entries given in any exact form are
+    canonicalized on the way in).  A matrix is read-only after
     construction and nothing is cached beside the store; row views are
     built on demand by the routines that need them and dicts handed
     out (`column`, `row_dicts`, `entries`) are fresh copies.
@@ -84,8 +120,8 @@ class RatMatrix:
             for r in sorted(col):
                 x = col[r]
                 assert 0 <= r < rows, (r, rows)
-                if type(x) is not Fraction:
-                    x = Fraction(x)
+                if type(x) is not int:
+                    x = _q(x)
                 if x:
                     row_idx.append(r)
                     vals.append(x)
@@ -173,8 +209,9 @@ class RatMatrix:
             if 0 <= c < ncols:
                 for k in range(ptr[c], ptr[c + 1]):
                     r = row_idx[k]
-                    acc[r] = acc.get(r, ZERO) + vals[k] * v
-        return {r: acc[r] for r in sorted(acc) if acc[r]}
+                    acc[r] = acc.get(r, 0) + vals[k] * v
+        return {r: x if type(x) is int else _q(x)
+                for r in sorted(acc) if (x := acc[r])}
 
     def mul(self, other):
         assert self.cols == other.rows
@@ -202,7 +239,7 @@ class Echelon:
         return len(self.pivots)
 
     def reduce(self, vec):
-        res = dict(vec)
+        res = _canonical(vec)
         while res:
             p = min(res)
             row = self.pivots.get(p)
@@ -217,8 +254,7 @@ class Echelon:
         if not res:
             return False
         p = min(res)
-        inv = ONE / res[p]
-        self.pivots[p] = {k: inv * x for k, x in res.items()}
+        self.pivots[p] = vec_scale(_recip(res[p]), res)
         return True
 
     def contains(self, vec):
@@ -242,7 +278,7 @@ class TrackedEchelon:
         return len(self.pivots)
 
     def reduce(self, vec):
-        res = dict(vec)
+        res = _canonical(vec)
         combo = {}
         while res:
             p = min(res)
@@ -260,11 +296,10 @@ class TrackedEchelon:
         if not res:
             return False
         if tag is not None:
-            combo = vec_add(combo, {tag: ONE})
+            combo = vec_add(combo, {tag: 1})
         p = min(res)
-        inv = ONE / res[p]
-        row = {k: inv * x for k, x in res.items()}
-        self.pivots[p] = (row, {t: inv * c for t, c in combo.items()})
+        inv = _recip(res[p])
+        self.pivots[p] = (vec_scale(inv, res), vec_scale(inv, combo))
         return True
 
     def coordinates(self, vec):
@@ -286,7 +321,7 @@ def kernel_basis(m: RatMatrix):
     elimination fills in and cancels entries.
     """
     if not m.vals:  # zero map, often into an empty slice
-        return [{c: ONE} for c in range(m.cols)]
+        return [{c: 1} for c in range(m.cols)]
     rows = m.row_dicts()
     ptr, row_idx = m.ptr, m.row_idx
     where = [set(row_idx[ptr[c]:ptr[c + 1]])   # col -> rows nonzero there
@@ -299,20 +334,21 @@ def kernel_basis(m: RatMatrix):
             continue
         _, idx = min(cand)
         row = rows[idx]
-        inv = ONE / row[col]
-        for k in row:
-            row[k] = inv * row[k]
+        inv = _recip(row[col])
+        if inv != 1:
+            for k in row:
+                row[k] = _q(inv * row[k])
         for i in list(hits):
             if i == idx:
                 continue
             r = rows[i]
             f = -r[col]
             for k, x in row.items():
-                s = r.get(k, ZERO) + f * x
+                s = r.get(k, 0) + f * x
                 if s:
                     if k not in r:
                         where[k].add(i)
-                    r[k] = s
+                    r[k] = s if type(s) is int else _q(s)
                 else:
                     del r[k]
                     where[k].discard(i)
@@ -323,11 +359,11 @@ def kernel_basis(m: RatMatrix):
     for free in range(m.cols):
         if free in pivot_cols:
             continue
-        v = {free: ONE}
+        v = {free: 1}
         for i in where[free]:
             v[pivot_of[i]] = -rows[i][free]
-        lead = ONE / v[min(v)]  # lowest-index entry normalized to +1
-        basis.append({k: lead * x for k, x in sorted(v.items())})
+        lead = _recip(v[min(v)])  # lowest-index entry normalized to +1
+        basis.append(vec_scale(lead, dict(sorted(v.items()))))
     return basis
 
 
@@ -396,7 +432,8 @@ def smith_normal_form(matrix):
     """Smith normal form of an integer matrix (list of rows).
 
     Elementary gcd-step elimination; no modular tricks.  Returns a
-    SmithForm whose invariants are asserted before returning.
+    SmithForm whose invariants are checked before returning (the checks
+    run under `python -O` too).
     """
     A = [[int(x) for x in row] for row in matrix]
     m = len(A)
@@ -497,8 +534,10 @@ def smith_normal_form(matrix):
             if A[i][i] < 0:
                 negate_row(i)
             col_op(j, i, A[i][j] // A[i][i])
-            assert A[i][j] == 0 and A[j][i] == 0
-            assert A[i][i] == g and abs(A[j][j]) == abs(a * b) // g
+            require(A[i][j] == 0 and A[j][i] == 0,
+                    "SNF 2x2 clean-up left an off-diagonal entry")
+            require(A[i][i] == g and abs(A[j][j]) == abs(a * b) // g,
+                    "SNF 2x2 clean-up changed the invariants")
             if A[j][j] < 0:
                 negate_row(j)
 
@@ -529,12 +568,12 @@ def _int_matmul(X, Y):
 
 
 def _int_det(M):
-    """Determinant by fraction-free elimination (small matrices)."""
+    """Determinant by exact elimination (small matrices)."""
     n = len(M)
     if n == 0:
         return 1
-    A = [[Fraction(x) for x in row] for row in M]
-    det = ONE
+    A = [[_q(x) for x in row] for row in M]
+    det = 1
     for c in range(n):
         piv = None
         for r in range(c, n):
@@ -547,13 +586,14 @@ def _int_det(M):
             A[c], A[piv] = A[piv], A[c]
             det = -det
         det *= A[c][c]
-        inv = ONE / A[c][c]
+        inv = _recip(A[c][c])
         for r in range(c + 1, n):
             if A[r][c]:
                 f = A[r][c] * inv
-                A[r] = [a - f * b for a, b in zip(A[r], A[c])]
-    assert det.denominator == 1
-    return int(det)
+                A[r] = [_q(a - f * b) for a, b in zip(A[r], A[c])]
+    det = _q(det)
+    require(type(det) is int, "determinant of an integer matrix is %s" % det)
+    return det
 
 
 def _assert_smith(original, form, m, n):
@@ -563,12 +603,14 @@ def _assert_smith(original, form, m, n):
     for i in range(m):
         for j in range(n):
             want = form.diagonal[i] if i == j and i < len(form.diagonal) else 0
-            assert prod[i][j] == want, "SNF reconstruction failed"
+            require(prod[i][j] == want, "SNF reconstruction failed")
     nz = form.nonzero()
     for a, b in zip(nz, nz[1:]):
-        assert b % a == 0, "divisibility chain broken"
-    assert abs(_int_det(list(map(list, form.left)))) == 1
-    assert abs(_int_det(list(map(list, form.right)))) == 1
+        require(b % a == 0, "SNF divisibility chain broken")
+    require(abs(_int_det(list(map(list, form.left)))) == 1,
+            "SNF left factor is not unimodular")
+    require(abs(_int_det(list(map(list, form.right)))) == 1,
+            "SNF right factor is not unimodular")
 
 
 def integer_row_space_contains(rows, ncols, target):

@@ -16,7 +16,6 @@ cokernel of the relation span on truncated Laurent monomial bases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 from .dga import DgaElement, laurent_monomials, monomials
@@ -37,7 +36,7 @@ def homology_mult_matrix(m, i, d, var, bounds=None):
             new = list(exps)
             new[var] += 1
             row = tgt_index[(gi, es, tuple(new))]
-            shifted[row] = shifted.get(row, Fraction(0)) + c
+            shifted[row] = shifted.get(row, 0) + c
         coords = ht.coords(shifted)
         assert coords is not None
         for row, c in coords.items():
@@ -51,7 +50,7 @@ def _labels_to_element(m, labels, vec):
     for idx, c in vec.items():
         gi, es, exps = labels[idx]
         terms = out.setdefault(gi, {})
-        terms[(exps, es)] = terms.get((exps, es), Fraction(0)) + c
+        terms[(exps, es)] = terms.get((exps, es), 0) + c
     return {gi: m.dga.element(t) for gi, t in out.items()}
 
 
@@ -128,12 +127,12 @@ class PresentedModule:
                     for (exps, es), c in p.terms.items():
                         lab = (g, tuple(a + b for a, b in zip(exps, mm)))
                         k = index[lab]
-                        vec[k] = vec.get(k, Fraction(0)) + c
+                        vec[k] = vec.get(k, 0) + c
                 if vec:
                     te.add(vec)
         reps = []
         for k in range(len(labels)):
-            if te.add({k: Fraction(1)}, tag=len(reps)):
+            if te.add({k: 1}, tag=len(reps)):
                 reps.append(k)
         out = LocalizedSlice(labels, index, reps, te)
         self._slice_cache[key] = out
@@ -161,7 +160,7 @@ class LocalizedSlice:
         assert out is not None
         return out
 
-    def coords_of(self, g, exps, coeff=Fraction(1)):
+    def coords_of(self, g, exps, coeff=1):
         return self.coords_of_label_vector({self.index[(g, exps)]: coeff})
 
 
@@ -226,7 +225,7 @@ def extract_presentation(m, i, window, bounds=None):
         for key in sorted(phi):
             span.add(phi[key])
         for k in range(hd.dim):
-            unit = {k: Fraction(1)}
+            unit = {k: 1}
             if span.add(unit):
                 g_idx = len(gen_degrees)
                 gen_degrees.append(d)
@@ -253,7 +252,7 @@ def extract_presentation(m, i, window, bounds=None):
                 row = [dict() for _ in gen_degrees]
                 for pos, c in kv.items():
                     mm, g = cols[pos]
-                    row[g][(mm, ())] = row[g].get((mm, ()), Fraction(0)) + c
+                    row[g][(mm, ())] = row[g].get((mm, ()), 0) + c
                 relations.append(tuple(m.dga.element(t) for t in row))
                 new_rel_degrees.append(d)
         phi_prev = phi
@@ -385,7 +384,7 @@ def ideal_slice_echelon(dga, polys, d, include_sections=True):
             vec = {}
             for (exps, es), c in p.terms.items():
                 lab = tuple(a + b for a, b in zip(exps, mm))
-                vec[basis[lab]] = vec.get(basis[lab], Fraction(0)) + c
+                vec[basis[lab]] = vec.get(basis[lab], 0) + c
             if vec:
                 e.add(vec)
     return e, len(basis)

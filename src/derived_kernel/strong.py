@@ -17,7 +17,6 @@ the block map [g, h]: cone(f) -> H a chain map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cech import LaurentTruncation
 from .charts import (
@@ -128,7 +127,7 @@ def _element_to_slice(m, elem, h, d, bounds):
     for gi, c in elem.items():
         for (exps, es), coef in c.terms.items():
             k = index[(gi, es, exps)]
-            vec[k] = vec.get(k, Fraction(0)) + coef
+            vec[k] = vec.get(k, 0) + coef
     return {k: v for k, v in vec.items() if v}
 
 
@@ -239,7 +238,7 @@ def nullhomotopy_witness(f: ModuleMap):
     def add_entry(j, k, elem, col, sign=1):
         for belt, c in elem.terms.items():
             r = row_of(j, k, belt)
-            ent[(r, col)] = ent.get((r, col), Fraction(0)) + sign * c
+            ent[(r, col)] = ent.get((r, col), 0) + sign * c
 
     for (k, j, b), col in ucols.items():
         belem = dga.element({b: 1})
@@ -262,7 +261,7 @@ def nullhomotopy_witness(f: ModuleMap):
     for (k, j), fe in f.entries.items():
         for belt, c in fe.terms.items():
             r = row_of(j, k, belt)
-            rhs[r] = rhs.get(r, Fraction(0)) + c
+            rhs[r] = rhs.get(r, 0) + c
     mat = RatMatrix(len(rows), len(unknowns), ent)
     sol = solve(mat, rhs)
     if sol is None:

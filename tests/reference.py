@@ -2,22 +2,71 @@
 
 `RefMatrix`, `ref_kernel_basis`, `ref_rank` and `ref_solve` are the
 dict-of-entries matrix and the row-scanning elimination the kernel used
-before it moved to compressed columns; `ref_slice_matrix` and
-`ref_map_slice_matrix` build slice matrices by applying the module
-differential (or the map) to one basis element at a time.  The property
-tests require the kernel to reproduce them exactly, key order included.
+before it moved to compressed columns and canonical int-or-Fraction
+scalars; they compute in `Fraction` only (`RefEchelon` is the kernel's
+former echelon).  `ref_slice_matrix` and `ref_map_slice_matrix` build
+slice matrices by applying the module differential (or the map) to one
+basis element at a time.  The property tests require the kernel to
+reproduce them exactly, key order included.
 """
 
 from fractions import Fraction
 
 from derived_kernel.dgmodules import global_bounds
-from derived_kernel.exact_linear import (
-    ONE,
-    ZERO,
-    Echelon,
-    TrackedEchelon,
-    vec_axpy,
-)
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def vec_axpy(out, c, u):
+    """out += c*u in place, in Fractions."""
+    for k, x in u.items():
+        s = out.get(k, ZERO) + Fraction(c) * x
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+class RefEchelon:
+    """Row echelon structure in Fractions: pivot of a vector is its
+    smallest index; rows inserted with a tag remember their
+    coordinates over the tagged inserts."""
+
+    def __init__(self):
+        self.pivots = {}  # pivot col -> (normalized row, combo)
+
+    def reduce(self, vec):
+        res = {k: Fraction(x) for k, x in vec.items() if x}
+        combo = {}
+        while res:
+            p = min(res)
+            hit = self.pivots.get(p)
+            if hit is None:
+                break
+            c = res[p]
+            vec_axpy(res, -c, hit[0])
+            vec_axpy(combo, -c, hit[1])
+        return res, combo
+
+    def add(self, vec, tag=None):
+        res, combo = self.reduce(vec)
+        if not res:
+            return False
+        if tag is not None:
+            vec_axpy(combo, ONE, {tag: ONE})
+        p = min(res)
+        inv = ONE / res[p]
+        self.pivots[p] = ({k: inv * x for k, x in res.items()},
+                          {t: inv * c for t, c in combo.items()})
+        return True
+
+    def coordinates(self, vec):
+        res, combo = self.reduce(vec)
+        if res:
+            return None
+        return {t: -c for t, c in combo.items() if c}
 
 
 class RefMatrix:
@@ -109,15 +158,15 @@ def ref_kernel_basis(m):
 
 
 def ref_rank(m):
-    e = Echelon()
+    e = RefEchelon()
     for row in m.row_dicts():
         if row:
             e.add(row)
-    return e.dim
+    return len(e.pivots)
 
 
 def ref_solve(m, b):
-    te = TrackedEchelon()
+    te = RefEchelon()
     for c in range(m.cols):
         te.add(m.column(c), tag=c)
     return te.coordinates(b)

@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import derived_kernel
 from derived_kernel.exact_linear import (
     RatMatrix,
     cokernel_dims,
@@ -101,3 +106,29 @@ def test_integer_row_space():
     assert not integer_row_space_contains(rows, 4, [1, 0, 0, 0])
     assert integer_row_space_contains([], 3, [0, 0, 0])
     assert not integer_row_space_contains([[2, 0]], 2, [1, 0])
+
+
+SMITH_CHECK_UNDER_O = """
+import dataclasses
+from derived_kernel.errors import InternalCheckFailed
+from derived_kernel.exact_linear import _assert_smith, smith_normal_form
+a = [[2, 4], [6, 8]]
+form = smith_normal_form(a)
+print("debug:", __debug__)
+bad = dataclasses.replace(form, diagonal=(form.diagonal[0],
+                                          form.diagonal[1] + 1))
+try:
+    _assert_smith(a, bad, 2, 2)
+except InternalCheckFailed as exc:
+    print("raised:", exc)
+"""
+
+
+def test_smith_checks_survive_python_O():
+    src = str(Path(derived_kernel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", SMITH_CHECK_UNDER_O],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "debug: False", "raised: SNF reconstruction failed"]

@@ -10,6 +10,7 @@ from derived_kernel.dgmodules import (
     homotopy_slices,
     structure_sheaf,
 )
+from derived_kernel.errors import require
 from derived_kernel.k_theory import k0_class, k0_group, try_split
 from derived_kernel.strong import classify_map
 from derived_kernel.twisting import default_window, is_ample
@@ -112,9 +113,13 @@ def test_exit_code_internal_assertion(tmp_path, monkeypatch):
     def boom(args):
         assert False, "synthetic internal failure"
 
-    monkeypatch.setitem(_COMMANDS, "cohomology", boom)
-    code = main(["cohomology", "--scheme", str(scheme), "--sheaf", "O"])
-    assert code == 5
+    def failed_check(args):
+        require(False, "synthetic failed check")
+
+    for command in (boom, failed_check):
+        monkeypatch.setitem(_COMMANDS, "cohomology", command)
+        code = main(["cohomology", "--scheme", str(scheme), "--sheaf", "O"])
+        assert code == 5
 
 
 def test_shift_sign_rule_in_k0():

@@ -1,5 +1,5 @@
-"""The compressed-column core and the compiled slice stencils against
-the reference implementations in `reference.py`."""
+"""The compressed-column core, its canonical scalars and the compiled
+slice stencils against the reference implementations in `reference.py`."""
 
 from fractions import Fraction
 
@@ -19,10 +19,19 @@ from derived_kernel.dgmodules import (
     structure_sheaf,
     tensor_with_koszul,
 )
-from derived_kernel.exact_linear import RatMatrix, kernel_basis, rank, solve
+from derived_kernel.exact_linear import (
+    Echelon,
+    RatMatrix,
+    TrackedEchelon,
+    kernel_basis,
+    rank,
+    solve,
+)
+from derived_kernel.grammar import parse_polynomial
 
 import corpus
 from reference import (
+    RefEchelon,
     RefMatrix,
     ref_kernel_basis,
     ref_map_slice_matrix,
@@ -33,9 +42,12 @@ from reference import (
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 
+# exact inputs in every form the kernel accepts, with non-unit and
+# non-integral pivots; integral Fractions and bools must come out as ints
 values = st.one_of(
     st.integers(-3, 3),
-    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+    st.sampled_from([2, -3, Fraction(1, 2), Fraction(-2, 3), True]))
 
 
 @st.composite
@@ -69,15 +81,34 @@ def items(vecs):
     return [list(v.items()) for v in vecs]
 
 
+def _is_canonical(x):
+    """An int when integral, a Fraction only when not: never a float, a
+    bool or an integral Fraction."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def assert_canonical(scalars):
+    bad = [x for x in scalars if not _is_canonical(x)]
+    assert not bad, bad
+
+
+def canonical_items(vecs):
+    """`items` of vectors the exact layer returned, checked canonical."""
+    for v in vecs:
+        assert_canonical(v.values())
+    return items(vecs)
+
+
 @SETTINGS
 @given(matrices())
 def test_views_match_reference(data):
     m, ref = both(*data)
+    assert_canonical(m.vals)
     assert m.entries == ref.entries
     assert list(m.entries) == list(ref.entries)
     assert items(m.row_dicts()) == items(ref.row_dicts())
     for c in range(m.cols):
-        assert list(m.column(c).items()) == list(ref.column(c).items())
+        assert canonical_items([m.column(c)]) == items([ref.column(c)])
 
 
 @SETTINGS
@@ -85,7 +116,7 @@ def test_views_match_reference(data):
 def test_apply_matches_reference(data):
     rows, cols, ent, vec = data
     m, ref = both(rows, cols, ent)
-    assert list(m.apply(vec).items()) == list(ref.apply(vec).items())
+    assert canonical_items([m.apply(vec)]) == items([ref.apply(vec)])
 
 
 @SETTINGS
@@ -98,6 +129,7 @@ def test_mul_matches_reference(data, width):
     got = m.mul(RatMatrix(cols, width, other_ent))
     want = ref.mul(RefMatrix(cols, width, other_ent))
     assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert_canonical(got.vals)
     assert list(got.entries.items()) == list(want.entries.items())
 
 
@@ -105,7 +137,7 @@ def test_mul_matches_reference(data, width):
 @given(matrices())
 def test_elimination_matches_reference(data):
     m, ref = both(*data)
-    assert items(kernel_basis(m)) == items(ref_kernel_basis(ref))
+    assert canonical_items(kernel_basis(m)) == items(ref_kernel_basis(ref))
     assert rank(m) == ref_rank(ref)
 
 
@@ -116,13 +148,13 @@ def test_solve_matches_reference(data):
     m, ref = both(rows, cols, ent)
     b = m.apply(vec)
     got, want = solve(m, b), ref_solve(ref, b)
-    assert list(got.items()) == list(want.items())
+    assert canonical_items([got]) == items([want])
     assert m.apply(got) == b
     b2 = {r: Fraction(r + 1) for r in range(rows)}
     got2, want2 = solve(m, b2), ref_solve(ref, b2)
     assert (got2 is None) == (want2 is None)
     if got2 is not None:
-        assert list(got2.items()) == list(want2.items())
+        assert canonical_items([got2]) == items([want2])
 
 
 def test_apply_ignores_out_of_range_keys():
@@ -190,6 +222,7 @@ def _all_bounds(dga):
 
 def _same(got, want):
     assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert_canonical(got.vals)
     assert got.entries == want.entries
 
 
@@ -213,3 +246,53 @@ def test_map_stencils_match_apply():
                 for d in range(-2, 4):
                     _same(f.slice_matrix(h, d, bounds),
                           ref_map_slice_matrix(f, h, d, bounds))
+
+
+# -- canonical scalars ---------------------------------------------------
+
+@SETTINGS
+@given(matrix_and_vector())
+def test_echelons_match_reference(data):
+    rows, cols, ent, vec = data
+    m = RatMatrix(rows, cols, ent)
+    e, te, ref = Echelon(), TrackedEchelon(), RefEchelon()
+    for i, row in enumerate(m.row_dicts()):
+        foreign = {k: Fraction(x) for k, x in row.items()}  # not canonical
+        e.add(foreign)
+        te.add(foreign, tag=i)
+        ref.add(row, tag=i)
+    assert list(e.pivots) == list(te.pivots) == list(ref.pivots)
+    for p, (ref_row, ref_combo) in ref.pivots.items():
+        row, combo = te.pivots[p]
+        assert canonical_items([e.pivots[p], row, combo]) == \
+            items([ref_row, ref_row, ref_combo])
+    target = {k: Fraction(x) for k, x in vec.items() if x}
+    got, want = te.coordinates(target), ref.coordinates(target)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert canonical_items([got]) == items([want])
+
+
+def test_pivot_inverses_are_exact_fractions_not_floats():
+    # on ints, 1 / 2 is the float 0.5 and 1 / 3 an inexact float
+    m = RatMatrix(1, 2, {(0, 0): 2, (0, 1): 1})
+    x = solve(m, {0: 1})
+    assert x == {0: Fraction(1, 2)}
+    assert type(x[0]) is Fraction
+    e = Echelon()
+    e.add({0: 3, 1: 1})
+    assert e.pivots == {0: {0: 1, 1: Fraction(1, 3)}}
+    assert [type(v) for v in e.pivots[0].values()] == [int, Fraction]
+    basis = kernel_basis(RatMatrix(1, 2, {(0, 0): 3, (0, 1): 1}))
+    assert canonical_items(basis) == [[(0, 1), (1, -3)]]
+
+
+def test_dga_coefficients_are_canonical():
+    p2 = corpus.p2()
+    e = parse_polynomial("1/2*x0 + 2*x1", p2)
+    assert e.terms == {((0, 1, 0), ()): 2, ((1, 0, 0), ()): Fraction(1, 2)}
+    assert_canonical(e.terms.values())
+    doubled = e.scale(Fraction(2, 2)) + e
+    assert doubled.terms == {((0, 1, 0), ()): 4, ((1, 0, 0), ()): 1}
+    assert_canonical(doubled.terms.values())
+    assert_canonical(e.scale(Fraction(2, 2)).terms.values())
