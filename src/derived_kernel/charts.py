@@ -135,23 +135,9 @@ def map_homology_pair(f: ModuleMap, i, d, charts, L, extra,
         src_pair = ChartHomologyPair(f.source, i, d, charts, L + extra)
     if tgt_pair is None:
         tgt_pair = ChartHomologyPair(f.target, i, d, charts, L + extra)
-    m0 = _homology_matrix_between(f, src_pair.h0, tgt_pair.h0, i, d,
-                                  src_pair.b0)
-    m1 = _homology_matrix_between(f, src_pair.h1, tgt_pair.h1, i, d,
-                                  src_pair.b1)
-    return SurvivingMap(src_pair, tgt_pair, m0, m1)
-
-
-def _homology_matrix_between(f, hs, ht, i, d, bounds):
-    sl = f.slice_matrix(i, d, bounds)
-    ent = {}
-    for col, rep in enumerate(hs.reps):
-        img = sl.apply(rep)
-        coords = ht.coords(img)
-        assert coords is not None, "chain map broke cycles"
-        for row, c in coords.items():
-            ent[(row, col)] = c
-    return RatMatrix(ht.dim, hs.dim, ent)
+    return SurvivingMap(src_pair, tgt_pair,
+                        f.homology_matrix(i, d, src_pair.b0),
+                        f.homology_matrix(i, d, src_pair.b1))
 
 
 def triple_defects(f: ModuleMap, g: ModuleMap, i, d, chart, L, extra):

@@ -187,7 +187,7 @@ def _cmd_exact_check(args):
                          min(x.homological_lo for x in wins),
                          max(x.homological_hi for x in wins))
     se = is_short_exact(f, g, w, _trunc(args))
-    cmp = exact_iff_cofibre_check(f, g, w, _trunc(args))
+    cmp = exact_iff_cofibre_check(f, g, w, _trunc(args), se)
     return {"short_exact": se.verdict,
             "nullhomotopy_found": se.nullhomotopy is not None,
             "failures": [list(x) for x in se.failures],

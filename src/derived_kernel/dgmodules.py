@@ -15,6 +15,7 @@ Shifting a module by s multiplies its differential by (-1)^s.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from operator import add
 
@@ -56,7 +57,13 @@ def chart_bounds(dga, charts, trunc):
 
 
 class DgModule:
-    """Immutable semifree dg-module presentation."""
+    """Immutable semifree dg-module presentation.
+
+    Slices, slice matrices, homology and stencils are cached per root
+    module.  A twist M(n) is a view of its root M with internal-degree
+    offset n: its slice (h, d) is the root's slice (h, d + n), labels
+    included, so every twist of M reads and fills the one set of caches
+    under the root's degrees."""
 
     def __init__(self, dga: KoszulDga, gens, diff=None, shift_offset=0,
                  check=True):
@@ -72,6 +79,7 @@ class DgModule:
         self._columns = _by_column(self.diff)
         self._stencils = {}
         self.shift_offset = shift_offset
+        self._root, self._offset = self, 0
         self._slice_cache = {}
         self._matrix_cache = {}
         self._homology_cache = {}
@@ -136,7 +144,7 @@ class DgModule:
         monomial exponents bounded below by `bounds` (default global)."""
         if bounds is None:
             bounds = global_bounds(self.dga)
-        key = (h, d, bounds)
+        key = (h, d + self._offset, bounds)
         hit = self._slice_cache.get(key)
         if hit is not None:
             return hit
@@ -157,7 +165,7 @@ class DgModule:
         """Matrix of d: slice(h, d) -> slice(h-1, d) in slice bases."""
         if bounds is None:
             bounds = global_bounds(self.dga)
-        key = (h, d, bounds)
+        key = (h, d + self._offset, bounds)
         hit = self._matrix_cache.get(key)
         if hit is not None:
             return hit
@@ -188,7 +196,7 @@ class DgModule:
     def homology(self, h, d, bounds=None):
         if bounds is None:
             bounds = global_bounds(self.dga)
-        key = (h, d, bounds)
+        key = (h, d + self._offset, bounds)
         hit = self._homology_cache.get(key)
         if hit is not None:
             return hit
@@ -211,12 +219,20 @@ class DgModule:
                         shift_offset=self.shift_offset + s, check=False)
 
     def twist(self, n):
-        """Tensor with O(n): generator internal degrees drop by n."""
+        """Tensor with O(n): generator internal degrees drop by n.
+
+        The result is a view of the root module that shares its
+        differential and every cache; twists compose, and a total
+        offset of 0 gives the root itself."""
         if n == 0:
             return self
-        return DgModule(self.dga, [(h, a - n) for h, a in self.gens],
-                        self.diff, shift_offset=self.shift_offset,
-                        check=False)
+        root, offset = self._root, self._offset + n
+        if offset == 0:
+            return root
+        view = copy(root)
+        view.gens = tuple((h, a - offset) for h, a in root.gens)
+        view._offset = offset
+        return view
 
     def normalized(self):
         order = sorted(range(len(self.gens)), key=lambda i: (self.gens[i], i))
@@ -293,7 +309,7 @@ class HomologyData:
         for c in range(in_map.cols):
             col = in_map.column(c)
             if col:
-                te.add(col)
+                te.add(col, owned=True)
         reps = []
         for z in cycles:
             if te.add(z, tag=len(reps)):
@@ -326,6 +342,7 @@ class ModuleMap:
         self.entries = dict(sorted(ent.items()))
         self._columns = _by_column(self.entries)
         self._stencils = {}
+        self._homology_cache = {}
         if check:
             self._validate()
 
@@ -371,7 +388,14 @@ class ModuleMap:
         return hit
 
     def homology_matrix(self, h, d, bounds=None):
-        """Induced map on homology representatives at (h, d)."""
+        """Induced map on the homology representatives of source and
+        target at (h, d), computed once per (h, d, bounds)."""
+        if bounds is None:
+            bounds = global_bounds(self.dga)
+        key = (h, d, bounds)
+        hit = self._homology_cache.get(key)
+        if hit is not None:
+            return hit
         hs = self.source.homology(h, d, bounds)
         ht = self.target.homology(h, d, bounds)
         sl = self.slice_matrix(h, d, bounds)
@@ -382,7 +406,8 @@ class ModuleMap:
             assert coords is not None, "chain map broke cycles"
             for row, c in coords.items():
                 ent[(row, col)] = c
-        return RatMatrix(ht.dim, hs.dim, ent)
+        hit = self._homology_cache[key] = RatMatrix(ht.dim, hs.dim, ent)
+        return hit
 
     def compose(self, other):
         """self after other."""

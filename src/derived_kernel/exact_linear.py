@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import require
+from .errors import PreconditionError, require
 
 _FRACTION_ONE = Fraction(1)
 
@@ -229,6 +229,10 @@ class Echelon:
     Maintains reduced rows keyed by pivot column.  `reduce` returns the
     residual of a vector modulo the current span; `add` inserts the
     residual if nonzero.  Pivot of a vector is its smallest index.
+    Both copy `vec` first, unless `owned=True` hands it over: the caller
+    then promises a fresh dict of canonical nonzero values (a `column`
+    or `row_dicts` entry of a RatMatrix) that it never reads again, and
+    it is reduced in place.
     """
 
     def __init__(self):
@@ -238,8 +242,8 @@ class Echelon:
     def dim(self):
         return len(self.pivots)
 
-    def reduce(self, vec):
-        res = _canonical(vec)
+    def reduce(self, vec, owned=False):
+        res = vec if owned else _canonical(vec)
         while res:
             p = min(res)
             row = self.pivots.get(p)
@@ -248,9 +252,9 @@ class Echelon:
             vec_axpy(res, -res[p], row)
         return res
 
-    def add(self, vec):
+    def add(self, vec, owned=False):
         """Insert vec; return True if it enlarged the span."""
-        res = self.reduce(vec)
+        res = self.reduce(vec, owned)
         if not res:
             return False
         p = min(res)
@@ -267,7 +271,8 @@ class TrackedEchelon:
 
     Vectors inserted without a tag enlarge the span anonymously (used
     for quotients: reduce modulo boundaries, coordinates over chosen
-    representatives only).
+    representatives only).  `owned=True` hands a vector over as in
+    `Echelon`.
     """
 
     def __init__(self):
@@ -277,8 +282,8 @@ class TrackedEchelon:
     def dim(self):
         return len(self.pivots)
 
-    def reduce(self, vec):
-        res = _canonical(vec)
+    def reduce(self, vec, owned=False):
+        res = vec if owned else _canonical(vec)
         combo = {}
         while res:
             p = min(res)
@@ -291,8 +296,8 @@ class TrackedEchelon:
             vec_axpy(combo, -c, rcombo)
         return res, combo
 
-    def add(self, vec, tag=None):
-        res, combo = self.reduce(vec)
+    def add(self, vec, tag=None, owned=False):
+        res, combo = self.reduce(vec, owned)
         if not res:
             return False
         if tag is not None:
@@ -371,7 +376,7 @@ def rank(m: RatMatrix):
     e = Echelon()
     for row in m.row_dicts():
         if row:
-            e.add(row)
+            e.add(row, owned=True)
     return e.dim
 
 
@@ -387,7 +392,7 @@ def solve(m: RatMatrix, b):
     """
     te = TrackedEchelon()
     for c in range(m.cols):
-        te.add(m.column(c), tag=c)
+        te.add(m.column(c), tag=c, owned=True)
     coords = te.coordinates(b)
     return coords
 
@@ -428,14 +433,29 @@ def _mat_identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _int_rows(matrix):
+    """The rows of `matrix` as lists of ints; a non-integral entry is
+    rejected, never truncated."""
+    out = []
+    for row in matrix:
+        ints = [_q(x) for x in row]
+        for x in ints:
+            if type(x) is not int:
+                raise PreconditionError(
+                    "Smith normal form needs integer entries, got %s" % x)
+        out.append(ints)
+    return out
+
+
 def smith_normal_form(matrix):
     """Smith normal form of an integer matrix (list of rows).
 
-    Elementary gcd-step elimination; no modular tricks.  Returns a
-    SmithForm whose invariants are checked before returning (the checks
-    run under `python -O` too).
+    Elementary gcd-step elimination; no modular tricks.  Entries may be
+    given in any exact form but must be integral (PreconditionError
+    otherwise).  Returns a SmithForm whose invariants are checked before
+    returning (the checks run under `python -O` too).
     """
-    A = [[int(x) for x in row] for row in matrix]
+    A = _int_rows(matrix)
     m = len(A)
     n = len(A[0]) if m else 0
     U = _mat_identity(m)
@@ -597,7 +617,7 @@ def _int_det(M):
 
 
 def _assert_smith(original, form, m, n):
-    A = [[int(x) for x in row] for row in original]
+    A = _int_rows(original)
     prod = _int_matmul(_int_matmul(list(map(list, form.left)), A),
                        list(map(list, form.right)))
     for i in range(m):

@@ -32,7 +32,7 @@ from .dgmodules import (
     koszul_module,
     tensor_with_koszul,
 )
-from .errors import InputError, PreconditionError, SearchExhausted
+from .errors import InputError, PreconditionError, SearchExhausted, require
 from .exact_linear import (
     integer_row_space_contains,
     smith_normal_form,
@@ -72,15 +72,18 @@ def betti_window(m: DgModule):
     return DegreeWindow(lo, hi, h_lo, h_hi + m.dga.base.nvars)
 
 
+def _coordinates(dga):
+    """The coordinates x0..xn as (polynomial, degree) pairs."""
+    n1 = dga.base.nvars
+    return [({tuple(1 if k == t else 0 for k in range(n1)): 1}, 1)
+            for t in range(n1)]
+
+
 def graded_betti(m: DgModule, window: DegreeWindow = None):
     """Tor against the residue field via the ambient Koszul complex."""
     if window is None:
         window = betti_window(m)
-    dga = m.dga
-    ambient = [({tuple(1 if k == t else 0
-                       for k in range(dga.base.nvars)): 1}, 1)
-               for t in range(dga.base.nvars)]
-    tk = tensor_with_koszul(m, ambient)
+    tk = tensor_with_koszul(m, _coordinates(m.dga))
     entries = {}
     for i in window.homological_range():
         for j in window.internal_range():
@@ -243,13 +246,14 @@ def _pi0_generator_choice(pres: PresentedModule, seed):
 
 
 def try_split(m: DgModule, window: DegreeWindow,
-              trunc: LaurentTruncation):
+              trunc: LaurentTruncation, pres: PresentedModule = None):
     """Twist-sum form of m, certified by a quasi-isomorphism, or None.
 
-    Requires the windowed pi_0 presentation to be relation-free; the
-    comparison map built on representative cycles is then verified
-    chart-by-chart."""
-    pres = extract_presentation(m, 0, window)
+    Requires the windowed pi_0 presentation (`pres`, extracted here
+    unless given) to be relation-free; the comparison map built on
+    representative cycles is then verified chart-by-chart."""
+    if pres is None:
+        pres = extract_presentation(m, 0, window)
     if pres.relations:
         return None
     twists = [-aa for aa in pres.gen_degrees]
@@ -291,13 +295,13 @@ def resolve_perfect(m: DgModule, max_steps=None, seed=0,
     terms, maps, fibres = [], [], []
     current = m
     for step in range(max_steps + 1):
-        split = try_split(current, window, trunc)
+        pres = extract_presentation(current, 0, window)
+        split = try_split(current, window, trunc, pres)
         if split is not None:
             twists, cmp_map = split
             terms.append(twists)
             maps.append(cmp_map)
             return Resolution(terms, maps, fibres, m, cmp_map)
-        pres = extract_presentation(current, 0, window)
         chosen = _pi0_generator_choice(pres, seed if step == 0 else 0)
         if not chosen:
             # pi_0 must really vanish as a sheaf; then the empty cover
@@ -471,13 +475,21 @@ class K0GroupPresentation:
         return self.contains([diff.coeffs.get(j, 0) for j in self.twists])
 
 
+def ambient_koszul(dga):
+    """The Koszul complex of the coordinates over dga, built and
+    validated once per dga.  It is kept on the dga, so it lives exactly
+    as long as the dga does (one CLI command), and its twists share its
+    slice caches."""
+    kz = getattr(dga, "_ambient_koszul", None)
+    if kz is None:
+        kz = dga._ambient_koszul = koszul_module(dga, _coordinates(dga))
+    return kz
+
+
 def _verify_koszul_relation(dga, j, window, trunc):
     """The twisted ambient Koszul complex restricted to X is
     chart-acyclic; this certifies the alternating-sum relation."""
-    ambient = [({tuple(1 if k == t else 0
-                       for k in range(dga.base.nvars)): 1}, 1)
-               for t in range(dga.base.nvars)]
-    kz = koszul_module(dga, ambient).twist(j)
+    kz = ambient_koszul(dga).twist(j)
     h_lo, h_hi = kz.homological_span()
     ok, witness, unstable = chart_homology_vanishes(
         kz, range(h_lo, h_hi + 1), window.internal_range(), trunc.bound)
@@ -532,8 +544,9 @@ def k0_group(dga, J, user_sequences=None,
         touched = [j - t for t in range(n1 + 1)]
         if not all(tt in J for tt in touched):
             continue
-        assert _verify_koszul_relation(dga, j, window, trunc), \
-            "ambient Koszul complex failed chart-acyclicity at twist %d" % j
+        require(_verify_koszul_relation(dga, j, window, trunc),
+                "ambient Koszul complex failed chart-acyclicity at twist %d"
+                % j)
         row = [0] * len(J)
         for t in range(n1 + 1):
             row[J.index(j - t)] = (-1) ** (t % 2) * binomial(n1, t)

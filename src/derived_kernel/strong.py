@@ -377,13 +377,17 @@ def induced_cone_comparison(f: ModuleMap, g: ModuleMap, h_entries):
 
 
 def exact_iff_cofibre_check(f: ModuleMap, g: ModuleMap, window: DegreeWindow,
-                            trunc: LaurentTruncation = LaurentTruncation(2)):
+                            trunc: LaurentTruncation = LaurentTruncation(2),
+                            se: ExactnessReport = None):
     """Both sides of the exactness/cofibre equivalence, cross-checked.
 
     Builds H' = cone(f), induces H' -> H from a nullhomotopy of the
     composite, tests quasi-isomorphism chart-wise on surviving slices,
-    and compares the outcome with the short-exactness verdict."""
-    se = is_short_exact(f, g, window, trunc, check_strong=False)
+    and compares the outcome with the short-exactness verdict (`se`,
+    the report of `is_short_exact` on the same window and truncation,
+    computed here unless given)."""
+    if se is None:
+        se = is_short_exact(f, g, window, trunc, check_strong=False)
     if se.nullhomotopy is None:
         return CofibreComparison(False, se, agrees=(not se.verdict))
     phi = induced_cone_comparison(f, g, se.nullhomotopy)

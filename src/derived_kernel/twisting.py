@@ -20,7 +20,7 @@ from .cech import (
 )
 from .dgmodules import DegreeWindow, DgModule, ModuleMap, free_module
 from .errors import PreconditionError, SearchExhausted
-from .presentations import extract_presentation
+from .presentations import PresentedModule, extract_presentation
 from .strong import classify_map, is_strong
 
 
@@ -75,11 +75,13 @@ class EvidenceRow:
 
 def twist_isomorphism_check(m: DgModule, i, n,
                             trunc: LaurentTruncation = LaurentTruncation(2),
-                            window: DegreeWindow = None):
-    """One evidence row of the twisting comparison at twist n."""
-    if window is None:
-        window = default_window(m)
-    pres = extract_presentation(m, i, window)
+                            window: DegreeWindow = None,
+                            pres: PresentedModule = None):
+    """One evidence row of the twisting comparison at twist n; `pres`
+    is the windowed presentation of pi_i(M), extracted here unless
+    given."""
+    if pres is None:
+        pres = extract_presentation(m, i, window or default_window(m))
     rhs = sheaf_cohomology(pres, n, trunc)
     got = []
     for T in (trunc.bound, trunc.bound + 1):
@@ -110,7 +112,8 @@ def twist_search(m: DgModule, i, ceiling=None,
         ceiling = default_ceiling(m)
     if ceiling < 0:
         raise PreconditionError("ceiling must be nonnegative")
-    rows = [twist_isomorphism_check(m, i, n, trunc, window)
+    pres = extract_presentation(m, i, window or default_window(m))
+    rows = [twist_isomorphism_check(m, i, n, trunc, pres=pres)
             for n in range(0, ceiling + 1)]
     n0 = None
     for start in range(0, ceiling + 1):

@@ -5,7 +5,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import derived_kernel
+from derived_kernel.errors import PreconditionError
 from derived_kernel.exact_linear import (
     RatMatrix,
     cokernel_dims,
@@ -106,6 +109,18 @@ def test_integer_row_space():
     assert not integer_row_space_contains(rows, 4, [1, 0, 0, 0])
     assert integer_row_space_contains([], 3, [0, 0, 0])
     assert not integer_row_space_contains([[2, 0]], 2, [1, 0])
+
+
+def test_smith_rejects_non_integral_entries():
+    # a truncating int() read [[1/2, 1]] as [[0, 1]] and returned (1,)
+    with pytest.raises(PreconditionError):
+        smith_normal_form([[Fraction(1, 2), 1]])
+    with pytest.raises(PreconditionError):
+        smith_normal_form([[1, 0], [0, Fraction(-7, 3)]])
+    # integral values in any exact form are accepted as the ints they are
+    # ([[2, 1], [4, 6]]: entry gcd 1, determinant 8)
+    form = smith_normal_form([[Fraction(2), True], [4, Fraction(6, 1)]])
+    assert form.diagonal == (1, 8)
 
 
 SMITH_CHECK_UNDER_O = """
