@@ -8,6 +8,14 @@ every differential and restriction only multiplies by polynomials or
 includes bases, the truncated grid is an honest double complex.
 Reported values carry stabilization flags (T and T+1 agree) instead of
 certified regularity bounds.
+
+One assembler, `_cech_complex`, builds every Cech grid from a slice
+provider; it alone holds the cover, offsets and restriction signs.  A
+dg-module provides its truncated Laurent slices, which restrict label
+by label, with its slice matrices as vertical blocks
+(`build_cech_double_complex`).  A presented pi0-module provides one
+row of localized cokernel slices, which restrict by coordinates
+(`sheaf_cohomology`).
 """
 
 from __future__ import annotations
@@ -43,6 +51,61 @@ class LaurentTruncation:
             raise InputError("Laurent truncation must be nonnegative")
 
 
+def _cech_complex(dga, T, h_range, basis, restrict, vertical):
+    """Level-wise Cech double complex over the standard cover.
+
+    A slice provider describes the sections over U_I by the Laurent
+    bounds b = chart_bounds(dga, I, T) of I: `basis(h, b)` lists the
+    basis labels of row h, `restrict(b, lab, b2)` writes the
+    restriction of basis element `lab` to the bounds b2 of a larger
+    chart set as {label: coefficient}, and `vertical(h, b)` is the
+    matrix from row h to row h - 1 (None for a one-row complex).
+    Columns p = 0..n hold the (p+1)-fold intersections; the horizontal
+    differential is the alternating sum of restrictions."""
+    cover = StandardCover(dga.base.n)
+    sets = [cover.index_sets(p) for p in range(dga.base.n + 1)]
+    bounds = {I: chart_bounds(dga, I, T) for col in sets for I in col}
+    labels = {}
+    offsets = {}
+    for p, col in enumerate(sets):
+        for h in h_range:
+            labs = []
+            offs = {}
+            for I in col:
+                offs[I] = len(labs)
+                labs.extend((I, lab) for lab in basis(h, bounds[I]))
+            if labs:
+                labels[(p, h)] = labs
+                offsets[(p, h)] = offs
+
+    vert = {}
+    horizontal = {}
+    for (p, h), labs in labels.items():
+        tgt = labels.get((p, h - 1))
+        if tgt and vertical is not None:
+            toff = offsets[(p, h - 1)]
+            vert[(p, h)] = RatMatrix.from_blocks(
+                len(tgt), len(labs),
+                [(toff[I], offsets[(p, h)][I], vertical(h, bounds[I]), 1)
+                 for I in sets[p]])
+        tgt = labels.get((p + 1, h))
+        if tgt:
+            tindex = {lab: k for k, lab in enumerate(tgt)}
+            ent = {}
+            for col, (I, lab) in enumerate(labs):
+                for j in cover.charts():
+                    if j in I:
+                        continue
+                    I2 = tuple(sorted(I + (j,)))
+                    sign = -1 if I2.index(j) % 2 else 1
+                    for lab2, x in restrict(bounds[I], lab, bounds[I2]).items():
+                        ent[(tindex[(I2, lab2)], col)] = sign * x
+            horizontal[(p, h)] = RatMatrix(len(tgt), len(labs), ent)
+
+    cells = {ph: len(labs) for ph, labs in labels.items()}
+    return DoubleComplex(cells, vert, horizontal, labels=labels)
+
+
 def build_cech_double_complex(m: DgModule, twist=0, trunc=LaurentTruncation(2)):
     """Level-wise Cech double complex of M(twist) in internal degree 0.
 
@@ -50,71 +113,12 @@ def build_cech_double_complex(m: DgModule, twist=0, trunc=LaurentTruncation(2)):
     twisted module over all (p+1)-fold chart intersections; the
     vertical differential is the module differential, the horizontal
     one the alternating-sum restriction."""
-    dga = m.dga
-    n = dga.base.n
-    cover = StandardCover(n)
     mt = m.twist(twist)
-    T = trunc.bound
     h_lo, h_hi = mt.homological_span()
-
-    cells = {}
-    labels = {}
-    offsets = {}
-    for p in range(0, n + 1):
-        for h in range(h_lo, h_hi + 1):
-            labs = []
-            offs = {}
-            for I in cover.index_sets(p):
-                offs[I] = len(labs)
-                b = chart_bounds(dga, I, T)
-                labs.extend((I, lab) for lab in mt.slice_basis(h, 0, b))
-            if labs:
-                cells[(p, h)] = len(labs)
-                labels[(p, h)] = labs
-                offsets[(p, h)] = offs
-
-    vertical = {}
-    horizontal = {}
-    for (p, h), labs in labels.items():
-        # vertical: block diagonal module differential per chart
-        tgt = labels.get((p, h - 1))
-        if tgt:
-            toff = offsets[(p, h - 1)]
-            vertical[(p, h)] = RatMatrix.from_blocks(
-                len(tgt), len(labs),
-                [(toff[I], offsets[(p, h)][I],
-                  mt.slice_matrix(h, 0, chart_bounds(dga, I, T)), 1)
-                 for I in cover.index_sets(p)])
-        # horizontal: alternating restriction maps
-        tgt = labels.get((p + 1, h))
-        if tgt:
-            ent = {}
-            toff = offsets[(p + 1, h)]
-            tindex = {}
-            for k, (I, lab) in enumerate(tgt):
-                tindex[(I, lab)] = k
-            for col, (I, lab) in enumerate(labs):
-                for j in cover.charts():
-                    if j in I:
-                        continue
-                    I2 = tuple(sorted(I + (j,)))
-                    sign = -1 if I2.index(j) % 2 else 1
-                    row = tindex.get((I2, lab))
-                    assert row is not None
-                    ent[(row, col)] = sign
-            horizontal[(p, h)] = RatMatrix(len(tgt), len(labs), ent)
-
-    return DoubleComplex(cells, vertical, horizontal, labels=labels)
-
-
-def totalize(dc: DoubleComplex):
-    """Total complex and its homology table (degree m = h - p)."""
-    total = dc.totalize()
-    return total, total.homology_table()
-
-
-def run_spectral_sequence(dc: DoubleComplex, max_page=None):
-    return dc.spectral_sequence(max_page=max_page)
+    return _cech_complex(m.dga, trunc.bound, range(h_lo, h_hi + 1),
+                         lambda h, b: mt.slice_basis(h, 0, b),
+                         lambda b, lab, b2: {lab: 1},
+                         lambda h, b: mt.slice_matrix(h, 0, b))
 
 
 @dataclass
@@ -144,49 +148,19 @@ def sections_homotopy(m: DgModule, twist, i_range, trunc=LaurentTruncation(2)):
 
 
 def _presented_cech_complex(pres: PresentedModule, twist, trunc):
-    """Cech complex of the sheafification of a presented pi0-module,
-    one column per p, as a one-row double complex (h = 0)."""
-    dga = pres.dga
-    n = dga.base.n
-    cover = StandardCover(n)
-    T = trunc.bound
-    cells = {}
-    labels = {}
-    offsets = {}
+    """Cech complex of the sheafification of a presented pi0-module, a
+    one-row double complex (h = 0) over its localized cokernel slices."""
     slices = {}
-    for p in range(0, n + 1):
-        labs = []
-        offs = {}
-        for I in cover.index_sets(p):
-            b = chart_bounds(dga, I, T)
-            sl = pres.localized_slice(twist, b)
-            slices[I] = sl
-            offs[I] = len(labs)
-            labs.extend((I, k) for k in range(sl.dim))
-        cells[(p, 0)] = len(labs)
-        labels[(p, 0)] = labs
-        offsets[p] = offs
-    horizontal = {}
-    for (p, _), labs in labels.items():
-        ncols = len(labs)
-        tgt = labels.get((p + 1, 0))
-        nrows = len(tgt) if tgt else 0
-        if nrows == 0 or ncols == 0:
-            continue
-        ent = {}
-        for col, (I, k) in enumerate(labs):
-            src = slices[I]
-            g, exps = src.labels[src.rep_labels[k]]
-            for j in cover.charts():
-                if j in I:
-                    continue
-                I2 = tuple(sorted(I + (j,)))
-                sign = -1 if I2.index(j) % 2 else 1
-                base = offsets[p + 1][I2]
-                for row, x in slices[I2].coords_of(g, exps).items():
-                    ent[(base + row, col)] = sign * x
-        horizontal[(p, 0)] = RatMatrix(nrows, ncols, ent)
-    return DoubleComplex(cells, {}, horizontal, labels=labels)
+
+    def basis(h, b):
+        slices[b] = pres.localized_slice(twist, b)
+        return range(slices[b].dim)
+
+    def restrict(b, k, b2):
+        src = slices[b]
+        return slices[b2].coords_of(*src.labels[src.rep_labels[k]])
+
+    return _cech_complex(pres.dga, trunc.bound, (0,), basis, restrict, None)
 
 
 @dataclass

@@ -11,7 +11,9 @@ T -> T+1: a homology class, kernel class, cokernel class, or middle
 homology class of a triple only counts if it survives to the next
 level.  Every chart-local verdict in the kernel (strongness, epi/mono,
 exactness, quasi-isomorphism, acyclicity) is computed this way, with a
-stability flag comparing the (T, T+1) answer against (T+1, T+2).
+stability flag comparing the (T, T+1) answer against (T+1, T+2): the
+one helper `_stable_pair` evaluates a verdict's probe at both levels
+and returns the deeper answer with the flag.
 
 Modules entering one comparison must see each other's denominators, so
 all participants share an alignment depth derived from their generator
@@ -82,9 +84,6 @@ class PresentedSlicePair:
                 ent[(row, col)] = c
         self.iota = RatMatrix(self.sl1.dim, self.sl0.dim, ent)
 
-    def surviving_dim(self):
-        return rank(self.iota)
-
 
 def _span_dims(base_cols, extra_cols):
     """(dim base, dim base+extra) for sparse column collections."""
@@ -114,12 +113,7 @@ class SurvivingMap:
 
     def surviving_kernel_dim(self):
         kern = kernel_basis(self.m0)
-        cols = [self.src.iota.apply(v) for v in kern]
-        e = Echelon()
-        for c in cols:
-            if c:
-                e.add(c)
-        return e.dim
+        return _span_dims([self.src.iota.apply(v) for v in kern], ())[0]
 
     def surviving_cokernel_dim(self):
         im1 = [self.m1.column(c) for c in range(self.m1.cols)]
@@ -160,22 +154,12 @@ def triple_defects(f: ModuleMap, g: ModuleMap, i, d, chart, L, extra):
     return inj, surj, middle
 
 
-def surviving_quasi_iso_defects(f: ModuleMap, i, d, chart, L, extra=None):
-    """(kernel defect, cokernel defect) of f on one slice."""
-    if extra is None:
-        extra = max(module_depth_hint(f.source, d),
-                    module_depth_hint(f.target, d))
-    sm = map_homology_pair(f, i, d, (chart,), L, extra)
-    return (sm.surviving_kernel_dim() > 0, sm.surviving_cokernel_dim() > 0)
-
-
-def stable_chart_dim(m: DgModule, i, d, chart, T, extra=None):
-    """(value, stable flag) for the surviving homology dimension."""
-    if extra is None:
-        extra = module_depth_hint(m, d)
-    a = ChartHomologyPair(m, i, d, (chart,), T + extra).surviving_dim()
-    b = ChartHomologyPair(m, i, d, (chart,), T + 1 + extra).surviving_dim()
-    return a, a == b
+def _stable_pair(probe, L):
+    """Evaluate `probe` at levels L and L + 1; return the L + 1 value and
+    whether the two agree.  Every chart-local verdict reads its value
+    and its stability flag off this pair."""
+    low, high = probe(L), probe(L + 1)
+    return high, low == high
 
 
 def chart_homology_vanishes(m: DgModule, i_range, d_range, T, charts=None):
@@ -187,7 +171,9 @@ def chart_homology_vanishes(m: DgModule, i_range, d_range, T, charts=None):
     for chart in chart_list:
         for i in i_range:
             for d in d_range:
-                val, ok = stable_chart_dim(m, i, d, chart, T)
+                extra = module_depth_hint(m, d)
+                val, ok = _stable_pair(lambda L: ChartHomologyPair(
+                    m, i, d, (chart,), L + extra).surviving_dim(), T)
                 if not ok:
                     unstable.append((chart, i, d))
                 elif val:
@@ -196,18 +182,26 @@ def chart_homology_vanishes(m: DgModule, i_range, d_range, T, charts=None):
 
 
 def map_is_stable_quasi_iso(f: ModuleMap, i_range, d_range, T, charts=None):
-    """Chart-local quasi-isomorphism test on surviving defects."""
+    """Chart-local quasi-isomorphism test on surviving (kernel,
+    cokernel) defects."""
     nvars = f.dga.base.nvars
     chart_list = charts if charts is not None else range(nvars)
     unstable = []
     for chart in chart_list:
         for i in i_range:
             for d in d_range:
-                got = [surviving_quasi_iso_defects(f, i, d, chart, lv)
-                       for lv in (T, T + 1)]
-                if got[0] != got[1]:
+                extra = max(module_depth_hint(f.source, d),
+                            module_depth_hint(f.target, d))
+
+                def defects(L):
+                    sm = map_homology_pair(f, i, d, (chart,), L, extra)
+                    return (sm.surviving_kernel_dim() > 0,
+                            sm.surviving_cokernel_dim() > 0)
+
+                got, ok = _stable_pair(defects, T)
+                if not ok:
                     unstable.append((chart, i, d))
                     continue
-                if got[1] != (False, False):
+                if got != (False, False):
                     return False, (chart, i, d), tuple(unstable)
     return True, None, tuple(unstable)

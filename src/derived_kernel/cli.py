@@ -48,17 +48,20 @@ def _load_scheme(path):
         return parse_scheme(fh.read())
 
 
+def _sheaf_twist(name):
+    """k of the built-in sheaf named O or O(k)."""
+    m = _SHEAF_RE.match(name)
+    if not m:
+        raise InputError("unknown sheaf name %r (use O or O(k))" % name)
+    return int(m.group(2)) if m.group(2) else 0
+
+
 def _load_module(args, dga):
     if args.module:
         with open(args.module, "r", encoding="utf-8") as fh:
             return parse_module(fh.read(), dga)
     if args.sheaf:
-        m = _SHEAF_RE.match(args.sheaf)
-        if not m:
-            raise InputError("unknown sheaf name %r (use O or O(k))"
-                             % args.sheaf)
-        k = int(m.group(2)) if m.group(2) else 0
-        return free_module(dga, [k])
+        return free_module(dga, [_sheaf_twist(args.sheaf)])
     raise InputError("provide --module PATH or --sheaf NAME")
 
 
@@ -98,11 +101,7 @@ def _emit(args, payload):
 def _cmd_cohomology(args):
     dga = _load_scheme(args.scheme)
     if args.sheaf:
-        mm = _SHEAF_RE.match(args.sheaf)
-        if not mm:
-            raise InputError("unknown sheaf name %r" % args.sheaf)
-        k = int(mm.group(2)) if mm.group(2) else 0
-        pres = presented_free(dga, [k])
+        pres = presented_free(dga, [_sheaf_twist(args.sheaf)])
     else:
         m = _load_module(args, dga)
         pres = truncation_pi0(m, _window(args, m))

@@ -257,10 +257,6 @@ class KoszulDga:
         exps[i] = 1
         return DgaElement(self, {(tuple(exps), ()): 1})
 
-    def odd_generator(self, j):
-        assert 1 <= j <= self.r
-        return DgaElement(self, {((0,) * self.base.nvars, (j,)): 1})
-
     def poly(self, coeffs):
         """Polynomial from {exponent tuple: coefficient}."""
         return DgaElement(self, {(tuple(e), ()): c for e, c in coeffs.items()})

@@ -19,8 +19,7 @@ from copy import copy
 from dataclasses import dataclass
 from operator import add
 
-from .dga import (DgaElement, KoszulDga, as_element, laurent_monomials,
-                  _merge_sign)
+from .dga import KoszulDga, _merge_sign, as_element, laurent_monomials
 from .exact_linear import RatMatrix, TrackedEchelon, kernel_basis
 
 
@@ -131,13 +130,6 @@ class DgModule:
         lo = min(h for h, _ in self.gens)
         hi = max(h for h, _ in self.gens) + self.dga.r
         return (lo, hi)
-
-    def internal_floor(self, bounds=None):
-        """Least internal degree with a possibly nonzero slice (global
-        bounds only; Laurent slices are unbounded below)."""
-        if not self.gens:
-            return 0
-        return min(a for _, a in self.gens)
 
     def slice_basis(self, h, d, bounds=None):
         """Basis labels (gen, es, exps) of the (h, d) slice, with
@@ -521,24 +513,7 @@ def koszul_module(dga, polys):
     """Koszul complex of the given homogeneous polynomials as a
     semifree dg-module (e.g. the pushforward of a zero-locus structure
     sheaf, or a skyscraper).  `polys` is a list of (poly, degree)."""
-    from .dga import as_element
-    from itertools import combinations
-
-    elems = [(as_element(dga, p), deg) for p, deg in polys]
-    subsets = []
-    for size in range(len(elems) + 1):
-        subsets.extend(combinations(range(len(elems)), size))
-    index = {L: k for k, L in enumerate(subsets)}
-    gens = [(len(L), sum(elems[l][1] for l in L)) for L in subsets]
-    diff = {}
-    for L in subsets:
-        for t, l in enumerate(L):
-            rest = tuple(x for x in L if x != l)
-            sign = -1 if t % 2 else 1
-            ent = elems[l][0].scale(sign)
-            key = (index[rest], index[L])
-            diff[key] = diff.get(key, dga.zero()) + ent
-    return DgModule(dga, gens, diff)
+    return tensor_with_koszul(structure_sheaf(dga), polys)
 
 
 def tensor_with_koszul(m: DgModule, polys):
@@ -573,19 +548,3 @@ def tensor_with_koszul(m: DgModule, polys):
                 add = elems[l][0].scale(sign)
                 diff[key] = (diff[key] + add) if key in diff else add
     return DgModule(dga, gens, diff)
-
-
-def homotopy_slices(m: DgModule, window: DegreeWindow):
-    """Homotopy slice tables with windowed module presentations.
-
-    Returns a list of HomotopySlice records, one per homological index
-    in the window, internal degrees from the window.
-    """
-    from .presentations import HomotopySlice, extract_presentation
-
-    out = []
-    for i in window.homological_range():
-        table = {d: m.homology(i, d).dim for d in window.internal_range()}
-        pres = extract_presentation(m, i, window)
-        out.append(HomotopySlice(index=i, table=table, presentation=pres))
-    return out

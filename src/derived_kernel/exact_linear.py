@@ -278,10 +278,6 @@ class TrackedEchelon:
     def __init__(self):
         self.pivots = {}  # pivot col -> (row, combo)  combo: {tag: coeff}
 
-    @property
-    def dim(self):
-        return len(self.pivots)
-
     def reduce(self, vec, owned=False):
         res = vec if owned else _canonical(vec)
         combo = {}
@@ -380,11 +376,6 @@ def rank(m: RatMatrix):
     return e.dim
 
 
-def cokernel_dims(m: RatMatrix):
-    """dim coker = rows - rank."""
-    return m.rows - rank(m)
-
-
 def solve(m: RatMatrix, b):
     """One solution x of m x = b (sparse dicts), or None.
 
@@ -395,14 +386,6 @@ def solve(m: RatMatrix, b):
         te.add(m.column(c), tag=c, owned=True)
     coords = te.coordinates(b)
     return coords
-
-
-def column_space_dim(columns):
-    e = Echelon()
-    for col in columns:
-        if col:
-            e.add(col)
-    return e.dim
 
 
 @dataclass(frozen=True)
@@ -419,11 +402,6 @@ class SmithForm:
 
     def nonzero(self):
         return [d for d in self.diagonal if d]
-
-    def free_rank_of_cokernel(self, ncols):
-        """Rank of Z^ncols / row lattice for the matrix this form came
-        from (cols - number of nonzero invariants)."""
-        return ncols - len(self.nonzero())
 
     def torsion(self):
         return [d for d in self.diagonal if d > 1]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dga import DgaElement
 from .errors import HomogeneityError, InputError
 
 
@@ -161,8 +160,3 @@ def parse_polynomial(text, dga, require_internal=None, require_hom=None):
                     "non-homogeneous: monomial of homological degree %d "
                     "where %d demanded" % (h, require_hom), monomial=key)
     return out
-
-
-def to_text(elem: DgaElement):
-    """Print in grammar-conformant normal form (round-trips exactly)."""
-    return str(elem)

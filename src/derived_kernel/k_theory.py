@@ -139,12 +139,7 @@ def _fibre_dim_at_point(pres: PresentedModule, point):
     """dim of pi_0 (x) k(point) = #gens - rank of evaluated relations."""
     from .exact_linear import RatMatrix, rank
     a = len(pres.gen_degrees)
-    rows = list(pres.relations)
-    for f in pres.dga.sections:
-        for g in range(a):
-            row = [pres.dga.zero()] * a
-            row[g] = f
-            rows.append(tuple(row))
+    rows = pres.all_relations()
     ent = {}
     for r, row in enumerate(rows):
         for g, p in enumerate(row):
@@ -384,11 +379,6 @@ class K0Class:
     j_min: int
     j_max: int
     coeffs: dict               # twist j -> integer coefficient
-
-    def as_vector(self, J):
-        assert all(self.coeffs.get(j, 0) == 0
-                   for j in self.coeffs if j not in J)
-        return [self.coeffs.get(j, 0) for j in J]
 
     def add(self, other, sign=1):
         out = dict(self.coeffs)

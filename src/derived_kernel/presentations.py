@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .dga import DgaElement, laurent_monomials, monomials
+from .dga import laurent_monomials, monomials
 from .errors import PreconditionError
 from .exact_linear import Echelon, RatMatrix, TrackedEchelon, kernel_basis
 
@@ -84,17 +84,17 @@ class PresentedModule:
                 return p.bidegree()[1] + self.gen_degrees[g]
         return None
 
-    def twist(self, n):
-        """N(n): slice d of the twist is slice d+n of N."""
-        if n == 0:
-            return self
-        return PresentedModule(
-            self.dga, tuple(a - n for a in self.gen_degrees), self.relations,
-            gen_cycles=None, floor=self.floor - n,
-            extracted_hi=None if self.extracted_hi is None
-            else self.extracted_hi - n,
-            new_gen_degrees=tuple(a - n for a in self.new_gen_degrees),
-            new_rel_degrees=tuple(a - n for a in self.new_rel_degrees))
+    def all_relations(self):
+        """The relation rows, then the rows implied by the ambient
+        sections, which annihilate every pi0-module: section f_j on
+        generator g, for each j and then each g."""
+        rows = list(self.relations)
+        for f in self.dga.sections:
+            for g in range(len(self.gen_degrees)):
+                row = [self.dga.zero()] * len(self.gen_degrees)
+                row[g] = f
+                rows.append(tuple(row))
+        return rows
 
     def localized_slice(self, d, bounds):
         """Cokernel of the relation span on the degree-d truncated
@@ -110,14 +110,7 @@ class PresentedModule:
                 labels.append((g, mm))
         index = {lab: k for k, lab in enumerate(labels)}
         te = TrackedEchelon()
-        rel_rows = list(self.relations)
-        # ambient sections annihilate every pi0-module
-        for j, f in enumerate(self.dga.sections):
-            for g in range(len(self.gen_degrees)):
-                row = [self.dga.zero()] * len(self.gen_degrees)
-                row[g] = f
-                rel_rows.append(tuple(row))
-        for row in rel_rows:
+        for row in self.all_relations():
             bdeg = self.relation_degree(row)
             if bdeg is None:
                 continue
@@ -138,11 +131,6 @@ class PresentedModule:
         self._slice_cache[key] = out
         return out
 
-    def slice_dim(self, d, bounds=None):
-        if bounds is None:
-            bounds = (0,) * self.dga.base.nvars
-        return self.localized_slice(d, bounds).dim
-
 
 class LocalizedSlice:
     """Chosen basis of a localized cokernel slice with coordinates."""
@@ -162,15 +150,6 @@ class LocalizedSlice:
 
     def coords_of(self, g, exps, coeff=1):
         return self.coords_of_label_vector({self.index[(g, exps)]: coeff})
-
-
-@dataclass
-class HomotopySlice:
-    """Slice table of one homotopy module plus its presentation."""
-
-    index: int
-    table: dict
-    presentation: PresentedModule
 
 
 def extract_presentation(m, i, window, bounds=None):
@@ -346,12 +325,7 @@ def fitting_minors(pres: PresentedModule, size):
     including the implied ambient-section rows."""
     dga = pres.dga
     a = len(pres.gen_degrees)
-    rows = list(pres.relations)
-    for f in dga.sections:
-        for g in range(a):
-            row = [dga.zero()] * a
-            row[g] = f
-            rows.append(tuple(row))
+    rows = pres.all_relations()
     b = len(rows)
     if size <= 0:
         return [dga.one()]

@@ -28,6 +28,7 @@ from .exact_linear import (
     rank,
 )
 from .dgmodules import HomologyData
+from .errors import require
 
 
 class DoubleComplex:
@@ -158,11 +159,6 @@ class SpectralSequencePage:
     def dims(self):
         return {pq: c.dim for pq, c in sorted(self.cells.items()) if c.dim}
 
-    def differential_ranks(self):
-        return {pq: (tgt, rank)
-                for pq, (tgt, rank, _) in sorted(self.differentials.items())
-                if rank}
-
 
 class SpectralSequence:
     """Column-filtration spectral sequence of a bounded double complex."""
@@ -238,7 +234,7 @@ class SpectralSequence:
             for col, y in enumerate(cell.reps):
                 img = d.apply(y)
                 coords = tgt.tracker.coordinates(img) if img else {}
-                assert coords is not None, "d_r left the target page cell"
+                require(coords is not None, "d_r left the target page cell")
                 for row, x in coords.items():
                     ent[(row, col)] = x
             mat = RatMatrix(tgt.dim, cell.dim, ent)
@@ -262,16 +258,16 @@ class SpectralSequence:
                     in_rank = hit[1]
                 want = cell.dim - out_rank - in_rank
                 got = nxt.cells.get((p, q), PageCell(0)).dim
-                assert got == want, \
-                    "page %d -> %d mismatch at %r" % (r, r + 1, (p, q))
+                require(got == want, "page %d -> %d mismatch at %r"
+                        % (r, r + 1, (p, q)))
         # filtration: E_infinity dimensions sum to totalization homology
         sums = {}
         for (p, q), cell in self.infinity.cells.items():
             m = q - p
             sums[m] = sums.get(m, 0) + cell.dim
         for m in set(self.total.degrees()) | set(sums):
-            assert sums.get(m, 0) == self.total.homology(m).dim, \
-                "filtration mismatch in total degree %d" % m
+            require(sums.get(m, 0) == self.total.homology(m).dim,
+                    "filtration mismatch in total degree %d" % m)
 
     def stabilized_at(self):
         """First r with E_r = E_infinity dimensionwise."""
@@ -297,7 +293,7 @@ class SpectralSequence:
         rk = 0
         for rep in hom.reps:
             coords = cell.tracker.coordinates(rep)
-            assert coords is not None, "cycle escaped the page-2 cell"
+            require(coords is not None, "cycle escaped the page-2 cell")
             if coords and e.add(coords):
                 rk += 1
         return rk, hom.dim, cell.dim

@@ -23,6 +23,7 @@ from .charts import (
     ChartHomologyPair,
     PresentedSlicePair,
     SurvivingMap,
+    _stable_pair,
     map_homology_pair,
     map_is_stable_quasi_iso,
     module_depth_hint,
@@ -82,23 +83,23 @@ def _compare_slice(m, lhs_pres, pairs, base_pi, pi0_m, i, d, chart, trunc):
     extra = module_depth_hint(m, d)
     if lhs_pres is not None:
         extra = max(extra, presented_depth_hint(lhs_pres, d))
-    got = []
-    for T in (trunc.bound, trunc.bound + 1):
+
+    def defects(T):
         rhs = ChartHomologyPair(m, i, d, (chart,), T + extra)
         if lhs_pres is None:
-            got.append((False, rhs.surviving_dim() > 0))
-            continue
+            return False, rhs.surviving_dim() > 0
         lhs = PresentedSlicePair(lhs_pres, d, (chart,), T + extra)
         m0 = _comparison_matrix(m, lhs.sl0, rhs.h0, pairs, base_pi, pi0_m,
                                 i, d, lhs.b0)
         m1 = _comparison_matrix(m, lhs.sl1, rhs.h1, pairs, base_pi, pi0_m,
                                 i, d, lhs.b1)
         sm = SurvivingMap(lhs, rhs, m0, m1)
-        got.append((sm.surviving_kernel_dim() > 0,
-                    sm.surviving_cokernel_dim() > 0))
-    if got[0] != got[1]:
+        return sm.surviving_kernel_dim() > 0, sm.surviving_cokernel_dim() > 0
+
+    got, ok = _stable_pair(defects, trunc.bound)
+    if not ok:
         return "unstable"
-    return "ok" if got[1] == (False, False) else "mismatch"
+    return "ok" if got == (False, False) else "mismatch"
 
 
 def _comparison_matrix(m, lhs_slice, rhs_hom, pairs, base_pi, pi0_m, i, d,
@@ -167,13 +168,12 @@ def classify_map(f: ModuleMap, window: DegreeWindow,
         for d in window.internal_range():
             extra = max(module_depth_hint(f.source, d),
                         module_depth_hint(f.target, d))
-            got = []
-            for T in (trunc.bound, trunc.bound + 1):
-                sm = map_homology_pair(f, 0, d, (chart,), T, extra)
-                got.append(sm.surviving_cokernel_dim() > 0)
-            if got[0] != got[1]:
+            got, ok = _stable_pair(lambda T: map_homology_pair(
+                f, 0, d, (chart,), T, extra).surviving_cokernel_dim() > 0,
+                trunc.bound)
+            if not ok:
                 unstable.append((chart, 0, d))
-            elif got[1]:
+            elif got:
                 epi = False
                 if epi_witness is None:
                     epi_witness = (chart, d)
@@ -185,13 +185,12 @@ def classify_map(f: ModuleMap, window: DegreeWindow,
             for d in window.internal_range():
                 extra = max(module_depth_hint(f.source, d),
                             module_depth_hint(f.target, d))
-                got = []
-                for T in (trunc.bound, trunc.bound + 1):
-                    sm = map_homology_pair(f, i, d, (chart,), T, extra)
-                    got.append(sm.surviving_kernel_dim() > 0)
-                if got[0] != got[1]:
+                got, ok = _stable_pair(lambda T: map_homology_pair(
+                    f, i, d, (chart,), T, extra).surviving_kernel_dim() > 0,
+                    trunc.bound)
+                if not ok:
                     unstable.append((chart, i, d))
-                elif got[1]:
+                elif got:
                     mono = False
                     if mono_witness is None:
                         mono_witness = (chart, i, d)
@@ -339,12 +338,12 @@ def is_short_exact(f: ModuleMap, g: ModuleMap, window: DegreeWindow,
                 extra = max(module_depth_hint(f.source, d),
                             module_depth_hint(f.target, d),
                             module_depth_hint(g.target, d))
-                got = [triple_defects(f, g, i, d, chart, T, extra)
-                       for T in (trunc.bound, trunc.bound + 1)]
-                if got[0] != got[1]:
+                got, ok = _stable_pair(lambda T: triple_defects(
+                    f, g, i, d, chart, T, extra), trunc.bound)
+                if not ok:
                     unstable.append((chart, i, d))
                     continue
-                inj_defect, surj_defect, middle_defect = got[1]
+                inj_defect, surj_defect, middle_defect = got
                 if inj_defect:
                     failures.append((chart, i, d, "not injective"))
                 if surj_defect:

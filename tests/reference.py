@@ -6,13 +6,17 @@ before it moved to compressed columns and canonical int-or-Fraction
 scalars; they compute in `Fraction` only (`RefEchelon` is the kernel's
 former echelon).  `ref_slice_matrix` and `ref_map_slice_matrix` build
 slice matrices by applying the module differential (or the map) to one
-basis element at a time.  The property tests require the kernel to
-reproduce them exactly, key order included.
+basis element at a time.  `ref_koszul_module` is the kernel's former
+direct construction of a Koszul module, before it became the Koszul
+tensor of the structure sheaf.  The property tests require the kernel
+to reproduce them exactly, key order included.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
-from derived_kernel.dgmodules import global_bounds
+from derived_kernel.dga import as_element
+from derived_kernel.dgmodules import DgModule, global_bounds
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -203,3 +207,23 @@ def ref_map_slice_matrix(f, h, d, bounds=None):
     return _fill(f.source.slice_basis(h, d, bounds),
                  f.target.slice_basis(h, d, bounds),
                  lambda gi, es, m: f.apply({gi: dga.element({(m, es): 1})}))
+
+
+def ref_koszul_module(dga, polys):
+    """Koszul complex of (poly, degree) pairs: one generator per subset
+    L of the sections, d(e_L) = sum over t of (-1)^t f_(L_t) e_(L - L_t)."""
+    elems = [(as_element(dga, p), deg) for p, deg in polys]
+    subsets = []
+    for size in range(len(elems) + 1):
+        subsets.extend(combinations(range(len(elems)), size))
+    index = {L: k for k, L in enumerate(subsets)}
+    gens = [(len(L), sum(elems[l][1] for l in L)) for L in subsets]
+    diff = {}
+    for L in subsets:
+        for t, l in enumerate(L):
+            rest = tuple(x for x in L if x != l)
+            sign = -1 if t % 2 else 1
+            ent = elems[l][0].scale(sign)
+            key = (index[rest], index[L])
+            diff[key] = diff.get(key, dga.zero()) + ent
+    return DgModule(dga, gens, diff)

@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import derived_kernel
 from derived_kernel.cech import (
     LaurentTruncation,
     build_cech_double_complex,
-    run_spectral_sequence,
     sections_homotopy,
     sheaf_cohomology,
-    totalize,
 )
 from derived_kernel.dga import make_koszul_dga
 from derived_kernel.dgmodules import (
@@ -38,6 +42,21 @@ def test_sheaf_cohomology_matches_monomial_oracle_p2():
             assert out.table[p] == line_bundle_cohomology(2, d, p), (d, p)
 
 
+def test_both_slice_providers_match_monomial_oracle():
+    # module slices (sections_homotopy) and presented slices
+    # (sheaf_cohomology) of O(k) against the monomial count
+    for n in (1, 2):
+        dga = make_koszul_dga(n, [])
+        for k in range(-4, 5):
+            T = LaurentTruncation(abs(k) + 1)
+            sh = sections_homotopy(free_module(dga, [0]), k, range(-n, 1), T)
+            coh = sheaf_cohomology(presented_free(dga, [k]), 0, T)
+            for p in range(0, n + 1):
+                want = line_bundle_cohomology(n, k, p)
+                assert sh.table[-p] == want and sh.stable[-p], (n, k, p)
+                assert coh.table[p] == want and coh.stable[p], (n, k, p)
+
+
 def test_cech_grid_shape_on_p1():
     p1 = make_koszul_dga(1, [])
     dc = build_cech_double_complex(structure_sheaf(p1), 0, LaurentTruncation(2))
@@ -49,10 +68,12 @@ def test_cech_grid_shape_on_p1():
 def test_totalize_sections_of_twists():
     p1 = make_koszul_dga(1, [])
     o2 = structure_sheaf(p1)
-    _, table = totalize(build_cech_double_complex(o2, 2, LaurentTruncation(3)))
+    dc = build_cech_double_complex(o2, 2, LaurentTruncation(3))
+    table = dc.totalize().homology_table()
     assert table.get(0, 0) == 3  # H^0(P^1, O(2))
     assert table.get(-1, 0) == 0
-    _, table = totalize(build_cech_double_complex(o2, -2, LaurentTruncation(3)))
+    dc = build_cech_double_complex(o2, -2, LaurentTruncation(3))
+    table = dc.totalize().homology_table()
     assert table.get(0, 0) == 0
     assert table.get(-1, 0) == 1  # H^1(P^1, O(-2)) as pi_(-1)
 
@@ -60,7 +81,8 @@ def test_totalize_sections_of_twists():
 def test_totalize_direct_sum_with_shift():
     p1 = make_koszul_dga(1, [])
     m = direct_sum([structure_sheaf(p1), free_module(p1, [-2]).shift(1)])
-    _, table = totalize(build_cech_double_complex(m, 0, LaurentTruncation(3)))
+    dc = build_cech_double_complex(m, 0, LaurentTruncation(3))
+    table = dc.totalize().homology_table()
     # pi_0 = H^0(O) + H^1(O(-2)) = 1 + 1
     assert table.get(0, 0) == 2
 
@@ -86,7 +108,7 @@ def test_sections_homotopy_derived_double_point():
 
 def test_single_cell_spectral_sequence():
     dc = DoubleComplex({(0, 0): 2}, {}, {})
-    ss = run_spectral_sequence(dc)
+    ss = dc.spectral_sequence()
     assert ss.pages[1].dims() == {(0, 0): 2}
     assert ss.infinity.dims() == {(0, 0): 2}
     assert ss.stabilized_at() <= 2
@@ -95,7 +117,8 @@ def test_single_cell_spectral_sequence():
 def test_p1_degenerates_at_e2():
     p1 = make_koszul_dga(1, [])
     m = direct_sum([structure_sheaf(p1), free_module(p1, [-2]).shift(1)])
-    ss = run_spectral_sequence(build_cech_double_complex(m, 0, LaurentTruncation(3)))
+    dc = build_cech_double_complex(m, 0, LaurentTruncation(3))
+    ss = dc.spectral_sequence()
     e2 = ss.pages[1]
     assert e2.dims() == ss.infinity.dims()
     # E_2 cells: (0,0) from H^0(O) and (1,1) from H^1(O(-2))
@@ -105,7 +128,8 @@ def test_p1_degenerates_at_e2():
 def test_p2_filtration_and_cells():
     p2 = make_koszul_dga(2, [])
     m = direct_sum([free_module(p2, [-3]).shift(1), structure_sheaf(p2)])
-    ss = run_spectral_sequence(build_cech_double_complex(m, 0, LaurentTruncation(3)))
+    dc = build_cech_double_complex(m, 0, LaurentTruncation(3))
+    ss = dc.spectral_sequence()
     e2 = ss.pages[1]
     assert e2.dims() == {(0, 0): 1, (2, 1): 1}
     # filtration identity is asserted inside; check reported degrees
@@ -117,7 +141,7 @@ def test_e1_is_vertical_homology_and_e2_matches_sheaf_cohomology():
     dbl = make_koszul_dga(1, [({(1, 0): 1}, 1), ({(1, 0): 1}, 1)])
     o = structure_sheaf(dbl)
     dc = build_cech_double_complex(o, 0, LaurentTruncation(3))
-    ss = run_spectral_sequence(dc)
+    ss = dc.spectral_sequence()
     w = DegreeWindow(0, 4, 0, 2)
     for q in (0, 1):
         pres = extract_presentation(o, q, w)
@@ -131,7 +155,7 @@ def test_euler_characteristic_consistency():
     p1 = make_koszul_dga(1, [])
     m = direct_sum([structure_sheaf(p1), free_module(p1, [-3]).shift(1)])
     dc = build_cech_double_complex(m, 0, LaurentTruncation(4))
-    ss = run_spectral_sequence(dc)
+    ss = dc.spectral_sequence()
     total_chi = sum((-1) ** (m_ % 2) * d
                     for m_, d in ss.total.homology_table().items())
     e2_chi = 0
@@ -145,7 +169,42 @@ def test_truncation_monotone_stabilization():
     o = structure_sheaf(p1)
     dims = []
     for T in (2, 3, 4):
-        _, table = totalize(build_cech_double_complex(o, -2, LaurentTruncation(T)))
+        dc = build_cech_double_complex(o, -2, LaurentTruncation(T))
+        table = dc.totalize().homology_table()
         dims.append(table.get(-1, 0))
     assert dims[0] <= dims[1] <= dims[2]
     assert dims[1] == dims[2] == 1
+
+
+SPECTRAL_CHECK_UNDER_O = """
+import sys
+from derived_kernel import cli, spectral
+print("debug:", __debug__)
+page = spectral.SpectralSequence._page
+
+
+def corrupt(self, r):
+    out = page(self, r)
+    if r == 2:
+        out.cells.clear()
+    return out
+
+
+spectral.SpectralSequence._page = corrupt
+print("exit:", cli.main(["spectral-sequence", "--scheme", sys.argv[1],
+                         "--sheaf", "O(-2)"]))
+"""
+
+
+def test_convergence_check_survives_python_O(tmp_path):
+    # an emptied E_2 page must fail the page-to-page check, asserts or not
+    scheme = tmp_path / "p1.scheme"
+    scheme.write_text("ambient = 1\n")
+    src = str(Path(derived_kernel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", SPECTRAL_CHECK_UNDER_O, str(scheme)],
+        capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["debug: False", "exit: 5"]
+    assert "page 1 -> 2 mismatch" in out.stderr

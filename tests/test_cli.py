@@ -227,3 +227,34 @@ def test_console_entry_point(files, tmp_path):
     assert out.returncode == 0
     data = json.loads(out.stdout)
     assert data["cohomology"]["0"] == 4
+
+
+def test_bad_sheaf_name_same_error_everywhere(files, capsys):
+    errors = []
+    for command in ("cohomology", "sections"):
+        code = main([command, "--scheme", files["p1"], "--sheaf", "O(x)"])
+        assert code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "unknown sheaf name 'O(x)' (use O or O(k))" in errors[0]
+
+
+def test_default_ceiling(files, tmp_path, capsys):
+    # default_ceiling on P^1 for O: 3 * 0 (degree spread) + 1 + 2 = 3
+    code, out = run_cli(["twist-search", "--scheme", files["p1"],
+                         "--sheaf", "O"], tmp_path / "r.json")
+    assert code == 0
+    assert out["ceiling"] == 3 and out["n0"] == 0
+    assert [r["n"] for r in out["rows"]] == [0, 1, 2, 3]
+    code, out = run_cli(["global-gen", "--scheme", files["p1"],
+                         "--sheaf", "O"], tmp_path / "r.json")
+    assert code == 0
+    assert out == {"n0": 0, "sections": 1}
+    # O(-k) needs the twist k: k = 3 is within the ceiling, k = 4 is not
+    code, out = run_cli(["global-gen", "--scheme", files["p1"],
+                         "--sheaf", "O(-3)"], tmp_path / "r.json")
+    assert code == 0 and out["n0"] == 3
+    capsys.readouterr()
+    code = main(["global-gen", "--scheme", files["p1"], "--sheaf", "O(-4)"])
+    assert code == 4
+    assert "exhausted the ceiling 3" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 
 from derived_kernel.dga import make_koszul_dga
 from derived_kernel.errors import HomogeneityError
-from derived_kernel.grammar import ParseError, parse_polynomial, to_text
+from derived_kernel.grammar import ParseError, parse_polynomial
 
 
 def rings():
@@ -87,7 +87,7 @@ def test_round_trip_random():
             e = dga.element(terms)
             if e.is_zero():
                 continue
-            printed = to_text(e)
+            printed = str(e)
             again = parse_polynomial(printed, dga)
             assert again == e, printed
-            assert to_text(again) == printed
+            assert str(again) == printed

@@ -7,11 +7,12 @@ from derived_kernel.cli import _COMMANDS, main
 from derived_kernel.dgmodules import (
     DegreeWindow,
     free_module,
-    homotopy_slices,
+    global_bounds,
     structure_sheaf,
 )
 from derived_kernel.errors import require
 from derived_kernel.k_theory import k0_class, k0_group, try_split
+from derived_kernel.presentations import extract_presentation
 from derived_kernel.strong import classify_map
 from derived_kernel.twisting import default_window, is_ample
 
@@ -33,7 +34,7 @@ def test_twist_flatness_slicewise():
 
 
 def test_iso_implies_equal_slice_tables():
-    from derived_kernel.charts import stable_chart_dim
+    from derived_kernel.charts import ChartHomologyPair
     from derived_kernel.dgmodules import identity_map
 
     p1 = corpus.p1()
@@ -52,10 +53,10 @@ def test_iso_implies_equal_slice_tables():
             for d in w.internal_range():
                 extra = max(module_depth_hint(cmp_map.source, d),
                             module_depth_hint(cmp_map.target, d))
-                a, _ = stable_chart_dim(cmp_map.source, i, d, chart, 2,
-                                        extra=extra)
-                b, _ = stable_chart_dim(cmp_map.target, i, d, chart, 2,
-                                        extra=extra)
+                a = ChartHomologyPair(cmp_map.source, i, d, (chart,),
+                                      2 + extra).surviving_dim()
+                b = ChartHomologyPair(cmp_map.target, i, d, (chart,),
+                                      2 + extra).surviving_dim()
                 assert a == b, (chart, i, d)
     # literal module isomorphisms agree on the global tables too
     m = free_module(p1, [1, -1])
@@ -67,17 +68,19 @@ def test_iso_implies_equal_slice_tables():
                     == ident.target.homology(i, d).dim)
 
 
-def test_homotopy_slices_api():
+def test_homotopy_slice_tables_and_presentations():
     dbl = corpus.double_point()
+    o = structure_sheaf(dbl)
     w = DegreeWindow(0, 3, 0, 2)
-    slices = homotopy_slices(structure_sheaf(dbl), w)
-    by_index = {s.index: s for s in slices}
-    assert by_index[0].table == {0: 1, 1: 1, 2: 1, 3: 1}
-    assert by_index[1].table == {0: 0, 1: 1, 2: 1, 3: 1}
+    tables = {i: {d: o.homology(i, d).dim for d in w.internal_range()}
+              for i in w.homological_range()}
+    assert tables[0] == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert tables[1] == {0: 0, 1: 1, 2: 1, 3: 1}
     # the presentation reproduces its own table
-    for s in slices:
-        for d, v in s.table.items():
-            assert s.presentation.slice_dim(d) == v
+    for i, table in tables.items():
+        pres = extract_presentation(o, i, w)
+        for d, v in table.items():
+            assert pres.localized_slice(d, global_bounds(dbl)).dim == v
 
 
 def test_k0_class_invariant_under_quasi_iso():
