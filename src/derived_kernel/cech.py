@@ -6,8 +6,23 @@ internal degree 0 of a twist are truncated Laurent slices: monomial
 denominators on the inverted variables are bounded by T, and since
 every differential and restriction only multiplies by polynomials or
 includes bases, the truncated grid is an honest double complex.
-Reported values carry stabilization flags (T and T+1 agree) instead of
-certified regularity bounds.
+
+Global answers carry a proved depth.  Forget the differential of a
+semifree M: each row of M(t) is free, one O(k), k = t - a_j - deg E,
+per generator (h_j, a_j) and exterior monomial e_E.  Its T-truncated
+Cech complex splits over the Laurent monomials x^u of degree k with
+all u_i >= -T; the piece of x^u lives on the I containing
+N(u) = {i : u_i < 0} and has H^0 = Q if N(u) is empty, H^n = Q if
+N(u) holds every chart, and no cohomology otherwise (Hartshorne,
+III.5).  An H^n piece has every u_i >= k + n, so E_1 of the filtration
+by rows is complete once T >= T* = module_depth_hint(m, t + n), which
+is max(0, max_j a_j + sum deg f_j - t - n).  The double complex is
+bounded, so the totalization is then complete too: pi_i read at a
+depth >= T* is certified and flagged stable.  Columns are not covered:
+their E_1 grows with T, and the E_2 cells the twist search reads can
+hold phantom classes at a depth >= T*.  A presentation without
+relation rows is certified alike; otherwise the T* of its generators
+and rows is necessary, and T and T + 1 must also agree.
 
 One assembler, `_cech_complex`, builds every Cech grid from a slice
 provider; it alone holds the cover, offsets and restriction signs.  A
@@ -23,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .charts import module_depth_hint
 from .dgmodules import DgModule, chart_bounds
 from .errors import InputError
 from .exact_linear import RatMatrix
@@ -122,34 +138,31 @@ def build_cech_double_complex(m: DgModule, twist=0, trunc=LaurentTruncation(2)):
 
 
 @dataclass
-class SectionsHomotopy:
-    """pi_i of the global-sections spectrum per twist, with a stability
-    flag per entry (two successive truncations agreed)."""
+class CechTable:
+    """A global answer per index (pi_i, or H^p) with its stable flags."""
 
     table: dict
     stable: dict
 
 
 def sections_homotopy(m: DgModule, twist, i_range, trunc=LaurentTruncation(2)):
-    """Homotopy of the derived global sections of M(twist).
-
-    Negative indices are meaningful (spectrum-level sections); the
-    space-level sections are the truncation at zero."""
-    t0, t1 = [build_cech_double_complex(m, twist, LaurentTruncation(T))
-              .totalize() for T in (trunc.bound, trunc.bound + 1)]
-    table = {}
-    stable = {}
-    for i in i_range:
-        a = t0.homology(i).dim
-        b = t1.homology(i).dim
-        table[i] = b
-        stable[i] = (a == b)
-    return SectionsHomotopy(table, stable)
+    """Homotopy of the derived global sections of M(twist), read at depth
+    T + 1.  Negative indices are meaningful (spectrum-level sections);
+    the space-level sections are the truncation at zero."""
+    T = trunc.bound + 1
+    dc = build_cech_double_complex(m, twist, LaurentTruncation(T))
+    stable = T >= module_depth_hint(m, twist + m.dga.base.n)
+    return CechTable({i: dc.totalize().homology(i).dim for i in i_range},
+                     dict.fromkeys(i_range, stable))
 
 
-def _presented_cech_complex(pres: PresentedModule, twist, trunc):
-    """Cech complex of the sheafification of a presented pi0-module, a
-    one-row double complex (h = 0) over its localized cokernel slices."""
+def sheaf_cohomology(pres: PresentedModule, twist=0, trunc=LaurentTruncation(2)):
+    """Cech cohomology H^p of the sheafified presentation twisted by
+    `twist`, p = 0..n, read at depth T + 1."""
+    n = pres.dga.base.n
+    rows = pres.all_relations()
+    degrees = list(pres.gen_degrees) + [pres.relation_degree(r) for r in rows]
+    deep = all(d is None or d - twist - n <= trunc.bound + 1 for d in degrees)
     slices = {}
 
     def basis(h, b):
@@ -160,25 +173,10 @@ def _presented_cech_complex(pres: PresentedModule, twist, trunc):
         src = slices[b]
         return slices[b2].coords_of(*src.labels[src.rep_labels[k]])
 
-    return _cech_complex(pres.dga, trunc.bound, (0,), basis, restrict, None)
-
-
-@dataclass
-class SheafCohomology:
-    table: dict     # p -> dim H^p
-    stable: dict    # p -> bool
-
-
-def sheaf_cohomology(pres: PresentedModule, twist=0, trunc=LaurentTruncation(2)):
-    """Cech cohomology H^p of the sheafified presentation twisted by
-    `twist`, p = 0..n, with stabilization flags."""
-    n = pres.dga.base.n
-
     def run(T):
-        dc = _presented_cech_complex(pres, twist, LaurentTruncation(T))
-        total = dc.totalize()
-        return {p: total.homology(-p).dim for p in range(0, n + 1)}
+        total = _cech_complex(pres.dga, T, (0,), basis, restrict, None)
+        return {p: total.totalize().homology(-p).dim for p in range(n + 1)}
 
-    a, b = [run(T) for T in (trunc.bound, trunc.bound + 1)]
-    return SheafCohomology(table=b,
-                           stable={p: a[p] == b[p] for p in range(0, n + 1)})
+    b = run(trunc.bound + 1)
+    a = run(trunc.bound) if rows else b
+    return CechTable(b, {p: deep and a[p] == b[p] for p in b})

@@ -23,13 +23,15 @@ degrees (`module_depth_hint`).
 from __future__ import annotations
 
 from .dgmodules import DgModule, ModuleMap, chart_bounds
+from .errors import require
 from .exact_linear import Echelon, RatMatrix, kernel_basis, rank
 from .presentations import PresentedModule
 
 
 def module_depth_hint(m: DgModule, d):
     """Extra Laurent depth so the degree-d slices of M carry their
-    classes: high-degree generators need deeper denominators."""
+    classes: high-degree generators need deeper denominators.  At
+    d = twist + n it is the proved depth T* of global sections (`cech`)."""
     if not m.gens:
         return 0
     top = max(a for _, a in m.gens) + sum(m.dga.section_degrees)
@@ -57,7 +59,7 @@ class ChartHomologyPair:
         for col, rep in enumerate(self.h0.reps):
             vec = {index1[self.h0.labels[k]]: c for k, c in rep.items()}
             coords = self.h1.coords(vec)
-            assert coords is not None
+            require(coords is not None, "a class left the deeper slice")
             for row, c in coords.items():
                 ent[(row, col)] = c
         self.iota = RatMatrix(self.h1.dim, self.h0.dim, ent)

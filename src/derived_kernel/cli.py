@@ -16,6 +16,7 @@ import sys
 
 from .cech import LaurentTruncation, build_cech_double_complex, \
     sections_homotopy, sheaf_cohomology
+from .charts import module_depth_hint
 from .dgmodules import DegreeWindow, cone, free_module
 from .errors import (
     InputError,
@@ -125,8 +126,8 @@ def _cmd_sections(args):
 def _cmd_spectral(args):
     dga = _load_scheme(args.scheme)
     m = _load_module(args, dga)
-    dc = build_cech_double_complex(m, args.twist, _trunc(args))
-    ss = dc.spectral_sequence()
+    ss = build_cech_double_complex(m, args.twist,
+                                   _trunc(args)).spectral_sequence()
     pages = []
     for page in ss.pages:
         pages.append({
@@ -137,11 +138,11 @@ def _cmd_spectral(args):
                 {"from": [p, q], "to": list(tgt), "rank": rk}
                 for (p, q), (tgt, rk, _) in sorted(page.differentials.items())],
         })
-    sh = sections_homotopy(m, args.twist,
-                           ss.total.degrees() or [0], _trunc(args))
+    degrees = ss.total.degrees() or [0]
+    stable = args.laurent_T >= module_depth_hint(m, args.twist + dga.base.n)
     return {"pages": pages,
-            "homotopy": {str(i): v for i, v in sorted(sh.table.items())},
-            "stable": {str(i): v for i, v in sorted(sh.stable.items())},
+            "homotopy": {str(i): ss.total.homology(i).dim for i in degrees},
+            "stable": {str(i): stable for i in degrees},
             "stabilized_at": ss.stabilized_at()}
 
 

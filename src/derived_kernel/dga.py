@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import HomogeneityError, InputError
+from .errors import HomogeneityError, InputError, require
 from .exact_linear import _q
 
 
@@ -238,10 +238,11 @@ class KoszulDga:
                         "section f%d is not homogeneous of degree %d: "
                         "offending monomial has degree %d" % (j, dj, sum(exps)),
                         monomial=exps)
-        # d*d = 0 holds automatically for Koszul differentials; assert anyway
+        # d*d = 0 holds automatically for Koszul differentials; check anyway
         for j in range(1, self.r + 1):
             ej = self.element({((0,) * self.base.nvars, (j,)): 1})
-            assert ej.differential().differential().is_zero()
+            require(ej.differential().differential().is_zero(),
+                    "d*d != 0 on e%d" % j)
 
     def element(self, terms):
         return DgaElement(self, terms)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .dga import KoszulDga, _merge_sign, as_element, laurent_monomials
+from .errors import require
 from .exact_linear import RatMatrix, TrackedEchelon, kernel_basis
 
 
@@ -98,8 +99,8 @@ class DgModule:
                     "got %r" % (i, j, want, ent.bidegree()))
         for j in range(ngens):
             sq = self.apply_d(self.apply_d({j: self.dga.one()}))
-            assert all(c.is_zero() for c in sq.values()), \
-                "d*d != 0 at generator %d" % j
+            require(all(c.is_zero() for c in sq.values()),
+                    "d*d != 0 at generator %d" % j)
 
     # -- elements: {gen index: DgaElement} -------------------------------
 
@@ -352,8 +353,8 @@ class ModuleMap:
             rhs = self.apply(self.source.apply_d(self.source.gen_unit(j)))
             diff = {k: lhs.get(k, self.dga.zero()) - rhs.get(k, self.dga.zero())
                     for k in set(lhs) | set(rhs)}
-            assert all(c.is_zero() for c in diff.values()), \
-                "not a chain map at generator %d" % j
+            require(all(c.is_zero() for c in diff.values()),
+                    "not a chain map at generator %d" % j)
 
     def apply(self, elem):
         out = {}
@@ -395,7 +396,7 @@ class ModuleMap:
         for col, rep in enumerate(hs.reps):
             img = sl.apply(rep)
             coords = ht.coords(img)
-            assert coords is not None, "chain map broke cycles"
+            require(coords is not None, "chain map broke cycles")
             for row, c in coords.items():
                 ent[(row, col)] = c
         hit = self._homology_cache[key] = RatMatrix(ht.dim, hs.dim, ent)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .dga import laurent_monomials, monomials
-from .errors import PreconditionError
+from .errors import PreconditionError, require
 from .exact_linear import Echelon, RatMatrix, TrackedEchelon, kernel_basis
 
 
@@ -38,7 +38,7 @@ def homology_mult_matrix(m, i, d, var, bounds=None):
             row = tgt_index[(gi, es, tuple(new))]
             shifted[row] = shifted.get(row, 0) + c
         coords = ht.coords(shifted)
-        assert coords is not None
+        require(coords is not None, "x_%d moved a cycle off the cycles" % var)
         for row, c in coords.items():
             ent[(row, col)] = c
     return RatMatrix(ht.dim, hs.dim, ent)
@@ -145,7 +145,7 @@ class LocalizedSlice:
     def coords_of_label_vector(self, vec):
         """Coordinates of a vector given over the full label basis."""
         out = self._tracker.coordinates(vec)
-        assert out is not None
+        require(out is not None, "vector outside the localized slice")
         return out
 
     def coords_of(self, g, exps, coeff=1):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .dga import make_koszul_dga
 from .dgmodules import DgModule, ModuleMap
-from .errors import InputError
+from .errors import InputError, InternalCheckFailed
 from .grammar import parse_polynomial
 
 
@@ -146,7 +146,10 @@ def _parse_module_lines(entries, dga, label=""):
                                 require_hom=hj - 1 - hi,
                                 require_internal=aj - ai)
         diff[(i, j)] = poly
-    m = DgModule(dga, gens, diff)
+    try:
+        m = DgModule(dga, gens, diff)
+    except InternalCheckFailed as exc:
+        raise InputError("module %s: %s" % (label or "file", exc))
     if shift:
         m = m.shift(shift)
     if twist:
@@ -231,7 +234,10 @@ def parse_triple(text, dga):
                                     require_hom=hj - hi,
                                     require_internal=aj - ai)
             entries[(i, j)] = poly
-        maps.append(ModuleMap(src, tgt, entries))
+        try:
+            maps.append(ModuleMap(src, tgt, entries))
+        except InternalCheckFailed as exc:
+            raise InputError("%s: %s" % (label, exc))
     f, g = maps
     if f.target is not g.source:
         raise InputError("the two maps must compose: target of the first "

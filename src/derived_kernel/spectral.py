@@ -65,13 +65,14 @@ class DoubleComplex:
             assert v1.rows == self.dim(p, h - 1) and v1.cols == self.dim(p, h)
             h1 = self.hmat(p, h)
             assert h1.rows == self.dim(p + 1, h) and h1.cols == self.dim(p, h)
-            assert self.vmat(p, h - 1).mul(v1).is_zero(), "vertical d^2 != 0"
-            assert self.hmat(p + 1, h).mul(h1).is_zero(), "horizontal d^2 != 0"
+            require(self.vmat(p, h - 1).mul(v1).is_zero(), "vertical d^2 != 0")
+            require(self.hmat(p + 1, h).mul(h1).is_zero(),
+                    "horizontal d^2 != 0")
             # commuting raw differentials = anticommuting in the
             # (-1)^h-twisted convention used by the totalization
             a = self.vmat(p + 1, h).mul(h1)
-            assert a == self.hmat(p, h - 1).mul(v1), \
-                "differentials do not commute"
+            require(a == self.hmat(p, h - 1).mul(v1),
+                    "differentials do not commute")
 
     def span(self):
         ps = [p for p, _ in self.cells]
@@ -104,7 +105,7 @@ class TotalComplex:
         for m in sorted(self.basis):
             dm = self.matrix(m)
             dm1 = self.matrix(m + 1)
-            assert dm.mul(dm1).is_zero(), "total differential squares to 0"
+            require(dm.mul(dm1).is_zero(), "total D^2 != 0")
 
     def degrees(self):
         return sorted(self.basis)

@@ -31,7 +31,7 @@ from .charts import (
     triple_defects,
 )
 from .dgmodules import DegreeWindow, DgModule, ModuleMap, cone
-from .errors import PreconditionError
+from .errors import PreconditionError, require
 from .exact_linear import RatMatrix, solve
 from .presentations import extract_presentation, tensor_presentations
 
@@ -115,7 +115,7 @@ def _comparison_matrix(m, lhs_slice, rhs_hom, pairs, base_pi, pi0_m, i, d,
         elem = {gi: mono * zp * c for gi, c in zq.items()}
         vec = _element_to_slice(m, elem, i, d, bounds)
         coords = rhs_hom.coords(vec)
-        assert coords is not None, "comparison image is not a cycle"
+        require(coords is not None, "comparison image is not a cycle")
         for row, x in coords.items():
             ent[(row, col)] = x
     return RatMatrix(rhs_hom.dim, len(lhs_slice.rep_labels), ent)
@@ -298,8 +298,8 @@ def _assert_nullhomotopy(f, hent):
             got[k] = got.get(k, dga.zero()) + v
         diff = {k: want.get(k, dga.zero()) - got.get(k, dga.zero())
                 for k in set(want) | set(got)}
-        assert all(c.is_zero() for c in diff.values()), \
-            "nullhomotopy identity failed at generator %d" % j
+        require(all(c.is_zero() for c in diff.values()),
+                "nullhomotopy identity failed at generator %d" % j)
 
 
 @dataclass

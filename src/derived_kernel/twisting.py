@@ -18,6 +18,7 @@ from .cech import (
     build_cech_double_complex,
     sheaf_cohomology,
 )
+from .charts import module_depth_hint
 from .dgmodules import DegreeWindow, DgModule, ModuleMap, free_module
 from .errors import PreconditionError, SearchExhausted
 from .presentations import PresentedModule, extract_presentation
@@ -83,13 +84,10 @@ def twist_isomorphism_check(m: DgModule, i, n,
     if pres is None:
         pres = extract_presentation(m, i, window or default_window(m))
     rhs = sheaf_cohomology(pres, n, trunc)
-    got = []
-    for T in (trunc.bound, trunc.bound + 1):
-        ss = build_cech_double_complex(
-            m, n, LaurentTruncation(T)).spectral_sequence()
-        got.append(ss.edge_map_rank(i))
-    stable = (got[0] == got[1]) and rhs.stable[0]
-    edge_rank, lhs_dim, e2_dim = got[1]
+    T = trunc.bound + 1
+    dc = build_cech_double_complex(m, n, LaurentTruncation(T))
+    edge_rank, lhs_dim, e2_dim = dc.spectral_sequence().edge_map_rank(i)
+    stable = T >= module_depth_hint(m, n + m.dga.base.n) and rhs.stable[0]
     rhs_dim = rhs.table[0]
     iso = (lhs_dim == rhs_dim == e2_dim == edge_rank)
     return EvidenceRow(n, i, lhs_dim, rhs_dim, edge_rank, iso, stable)

@@ -1,15 +1,18 @@
 import os
 import subprocess
 import sys
+from argparse import Namespace
 from pathlib import Path
 
 import derived_kernel
+from derived_kernel import cech, cli, twisting
 from derived_kernel.cech import (
     LaurentTruncation,
     build_cech_double_complex,
     sections_homotopy,
     sheaf_cohomology,
 )
+from derived_kernel.charts import module_depth_hint
 from derived_kernel.dga import make_koszul_dga
 from derived_kernel.dgmodules import (
     DegreeWindow,
@@ -17,10 +20,16 @@ from derived_kernel.dgmodules import (
     free_module,
     structure_sheaf,
 )
-from derived_kernel.presentations import extract_presentation, presented_free
+from derived_kernel.presentations import (
+    PresentedModule,
+    extract_presentation,
+    presented_free,
+)
 from derived_kernel.spectral import DoubleComplex
 
 from oracles import line_bundle_cohomology
+
+import corpus
 
 
 def test_sheaf_cohomology_matches_monomial_oracle_p1():
@@ -208,3 +217,104 @@ def test_convergence_check_survives_python_O(tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["debug: False", "exit: 5"]
     assert "page 1 -> 2 mismatch" in out.stderr
+
+
+DOUBLE_COMPLEX_CHECKS_UNDER_O = """
+from derived_kernel.errors import InternalCheckFailed
+from derived_kernel.exact_linear import RatMatrix
+from derived_kernel.spectral import DoubleComplex
+print("debug:", __debug__)
+one = RatMatrix(1, 1, {(0, 0): 1})
+cells = {(0, 0): 1, (1, 0): 1, (2, 0): 1}
+for check in (True, False):
+    try:
+        dc = DoubleComplex(cells, {}, {(0, 0): one, (1, 0): one},
+                           check=check)
+        dc.totalize()
+    except InternalCheckFailed as exc:
+        print("raised:", exc)
+"""
+
+
+def test_double_complex_checks_survive_python_O(run_optimized):
+    # horizontal d^2 = 1: the grid check, and without it the check of
+    # the total differential, must still run under `python -O`
+    assert run_optimized(DOUBLE_COMPLEX_CHECKS_UNDER_O) == [
+        "debug: False", "raised: horizontal d^2 != 0",
+        "raised: total D^2 != 0"]
+
+
+def _spectral_command(monkeypatch, m, twist, T):
+    """The `spectral-sequence` report of M(twist) at depth T."""
+    monkeypatch.setattr(cli, "_load_scheme", lambda dga: dga)
+    monkeypatch.setattr(cli, "_load_module", lambda args, dga: args.module)
+    return cli._cmd_spectral(Namespace(scheme=m.dga, module=m, twist=twist,
+                                       laurent_T=T))
+
+
+def test_stable_global_answers_match_a_deeper_truncation(monkeypatch):
+    # every answer flagged stable equals the answer at T* + 3, for the
+    # module's sections, the spectral-sequence command and the sheaf
+    # cohomology of the free cover of its generators
+    checked = 0
+    for name, m in corpus.spectral_corpus():
+        n = m.dga.base.n
+        h_lo, h_hi = m.homological_span()
+        i_range = range(h_lo - n, h_hi + 1)
+        pres = presented_free(m.dga, [-a for _, a in m.gens])
+        for twist in range(-4, 3):
+            depth = module_depth_hint(m, twist + n)
+            deep = LaurentTruncation(depth + 2)     # read at depth T* + 3
+            want = sections_homotopy(m, twist, i_range, deep).table
+            want_coh = sheaf_cohomology(pres, twist, deep).table
+            for T in range(0, depth + 2):
+                sec = sections_homotopy(m, twist, i_range,
+                                        LaurentTruncation(T))
+                coh = sheaf_cohomology(pres, twist, LaurentTruncation(T))
+                report = _spectral_command(monkeypatch, m, twist, T)
+                for table, stable, ref in (
+                        (sec.table, sec.stable, want),
+                        (coh.table, coh.stable, want_coh),
+                        (report["homotopy"], report["stable"], want)):
+                    for k, v in table.items():
+                        if stable[k]:
+                            checked += 1
+                            assert v == ref.get(int(k), 0), (name, twist, T, k)
+    assert checked > 500
+
+
+def test_presentation_with_syzygies_keeps_the_comparison():
+    # O/(x0, x1) on P^1 is the zero sheaf, but its relations have a
+    # syzygy, so the depth of generators and rows does not certify it:
+    # at twist -3 the truncated chart cokernels keep x0^-3 and x1^-3 at
+    # depth 3 >= T* = 3, and only the comparison with depth 2 flags them
+    p1 = corpus.p1()
+    pres = PresentedModule(p1, (0,), ((p1.variable(0),), (p1.variable(1),)))
+    out = sheaf_cohomology(pres, -3, LaurentTruncation(2))
+    assert out.table == {0: 2, 1: 0} and not out.stable[0]
+    for twist in range(-4, 2):
+        for T in range(0, 6):
+            out = sheaf_cohomology(pres, twist, LaurentTruncation(T))
+            assert all(out.table[p] == 0 for p in out.table if out.stable[p])
+
+
+def test_one_cech_complex_per_global_answer(monkeypatch, tmp_path):
+    built = []
+    real = cech.build_cech_double_complex
+
+    def counting(m, twist=0, trunc=LaurentTruncation(2)):
+        built.append((twist, trunc.bound))
+        return real(m, twist, trunc)
+
+    for module in (cech, cli, twisting):
+        monkeypatch.setattr(module, "build_cech_double_complex", counting)
+    scheme = tmp_path / "p1.scheme"
+    scheme.write_text("ambient = 1\n")
+    for command, depth in (("sections", 3), ("spectral-sequence", 2)):
+        built.clear()
+        assert cli.main([command, "--scheme", str(scheme), "--sheaf", "O(-2)",
+                         "--out", str(tmp_path / "r.json")]) == 0
+        assert built == [(0, depth)], command
+    built.clear()
+    rep = twisting.twist_search(structure_sheaf(corpus.p1()), 0, ceiling=2)
+    assert rep.n0 == 0 and built == [(0, 3), (1, 3), (2, 3)]

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import derived_kernel
 from derived_kernel.cli import main
 from derived_kernel.specfiles import parse_module, parse_scheme, parse_triple
 
@@ -41,6 +44,36 @@ source = G
 target = H
 entry = g0 -> h0 : x0
 entry = g1 -> h0 : x1
+"""
+
+
+# d*d = x0^2 * g0 != 0 at g2
+NOT_A_COMPLEX_MOD = """\
+generator = g0 : h=0 : a=0
+generator = g1 : h=1 : a=1
+generator = g2 : h=2 : a=2
+d = g1 -> g0 : x0
+d = g2 -> g1 : x0
+"""
+
+# f(d f1) = x0 * g0 but d f(f1) = 0
+NOT_A_CHAIN_MAP_TRIPLE = """\
+[module F]
+generator = f0 : h=0 : a=0
+generator = f1 : h=1 : a=1
+d = f1 -> f0 : x0
+[module G]
+generator = g0 : h=0 : a=0
+[module H]
+generator = h0 : h=0 : a=0
+[map f]
+source = F
+target = G
+entry = f0 -> g0 : 1
+[map g]
+source = G
+target = H
+entry = g0 -> h0 : 1
 """
 
 
@@ -258,3 +291,53 @@ def test_default_ceiling(files, tmp_path, capsys):
     code = main(["global-gen", "--scheme", files["p1"], "--sheaf", "O(-4)"])
     assert code == 4
     assert "exhausted the ceiling 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]])
+def test_malformed_module_and_triple_exit_2(files, optimize):
+    # the d*d and chain-map checks are not asserts, so `python -O` must
+    # not skip them; on parsed input they report an input error
+    bad_mod = files["dir"] / "bad.mod"
+    bad_mod.write_text(NOT_A_COMPLEX_MOD)
+    bad_triple = files["dir"] / "bad.triple"
+    bad_triple.write_text(NOT_A_CHAIN_MAP_TRIPLE)
+    src = str(Path(derived_kernel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, message in (
+            (["sections", "--module", str(bad_mod)],
+             "input error: module file: d*d != 0 at generator 2"),
+            (["exact-check", "--module", str(bad_triple)],
+             "input error: map f: not a chain map at generator 1")):
+        out = subprocess.run(
+            [sys.executable] + optimize + ["-m", "derived_kernel.cli"]
+            + argv + ["--scheme", files["p1"]],
+            capture_output=True, text=True, env=env)
+        assert out.returncode == 2, out.stderr
+        assert out.stdout == ""
+        assert out.stderr.strip() == message
+
+
+O_MINUS_7 = {
+    # T: (cohomology H^p, sections pi_i, spectral-sequence pi_i, stable)
+    # for O(-7) on P^1, where T* = 7 - 1 = 6; cohomology and sections
+    # read depth T + 1, spectral-sequence depth T
+    2: ({"0": 0, "1": 0}, {"-1": 0, "0": 0}, {"0": 0}, (False, False)),
+    4: ({"0": 0, "1": 4}, {"-1": 4, "0": 0}, {"-1": 2}, (False, False)),
+    5: ({"0": 0, "1": 6}, {"-1": 6, "0": 0}, {"-1": 4}, (True, False)),
+    6: ({"0": 0, "1": 6}, {"-1": 6, "0": 0}, {"-1": 6}, (True, True)),
+}
+
+
+@pytest.mark.parametrize("T", sorted(O_MINUS_7))
+def test_global_answers_certified_by_depth(files, tmp_path, T):
+    coh, sec, spec, (deep, spec_deep) = O_MINUS_7[T]
+    base = ["--scheme", files["p1"], "--sheaf", "O(-7)",
+            "--laurent-T", str(T)]
+    for command, key, want, stable in (
+            ("cohomology", "cohomology", coh, deep),
+            ("sections", "homotopy", sec, deep),
+            ("spectral-sequence", "homotopy", spec, spec_deep)):
+        code, out = run_cli([command] + base, tmp_path / "r.json")
+        assert code == 0
+        assert out[key] == want, (command, T)
+        assert out["stable"] == dict.fromkeys(want, stable), (command, T)

@@ -221,3 +221,30 @@ def test_koszul_module_matches_direct_construction():
     ref = ref_koszul_module(p1, [({(1, 0): 1}, 1), ({(1, 0): 1}, 1)])
     assert dbl.gens == ref.gens
     assert list(dbl.diff.items()) == list(ref.diff.items())
+
+
+MODULE_CHECKS_UNDER_O = """
+from derived_kernel.dga import make_koszul_dga
+from derived_kernel.dgmodules import DgModule, ModuleMap, free_module
+from derived_kernel.errors import InternalCheckFailed
+print("debug:", __debug__)
+p1 = make_koszul_dga(1, [])
+x0 = {(1, 0): 1}
+for build in (
+        lambda: DgModule(p1, [(0, 0), (1, 1), (2, 2)],
+                         {(0, 1): x0, (1, 2): x0}),
+        lambda: ModuleMap(DgModule(p1, [(0, 0), (1, 1)], {(0, 1): x0}),
+                          free_module(p1, [0]), {(0, 0): {(0, 0): 1}})):
+    try:
+        build()
+    except InternalCheckFailed as exc:
+        print("raised:", exc)
+"""
+
+
+def test_module_checks_survive_python_O(run_optimized):
+    # modules and maps built by the program itself fail as internal
+    # checks (exit 5), also under `python -O`
+    assert run_optimized(MODULE_CHECKS_UNDER_O) == [
+        "debug: False", "raised: d*d != 0 at generator 2",
+        "raised: not a chain map at generator 1"]

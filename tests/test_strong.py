@@ -152,3 +152,23 @@ def test_is_short_exact_negative_control():
     rep = is_short_exact(zero_map(o, o), identity_map(o), W, T)
     assert not rep.verdict
     assert any(r == "not injective" for (_, _, _, r) in rep.failures)
+
+
+NULLHOMOTOPY_CHECK_UNDER_O = """
+from derived_kernel import strong
+from derived_kernel.dga import make_koszul_dga
+from derived_kernel.dgmodules import cone, free_module, identity_map
+from derived_kernel.errors import InternalCheckFailed
+print("debug:", __debug__)
+c = cone(identity_map(free_module(make_koszul_dga(1, []), [0])))
+strong.solve = lambda mat, rhs: {}     # a wrong homotopy h = 0
+try:
+    strong.nullhomotopy_witness(identity_map(c))
+except InternalCheckFailed as exc:
+    print("raised:", exc)
+"""
+
+
+def test_nullhomotopy_check_survives_python_O(run_optimized):
+    assert run_optimized(NULLHOMOTOPY_CHECK_UNDER_O) == [
+        "debug: False", "raised: nullhomotopy identity failed at generator 0"]
