@@ -21,7 +21,7 @@ from operator import add
 
 from .dga import KoszulDga, _merge_sign, as_element, laurent_monomials
 from .errors import require
-from .exact_linear import RatMatrix, TrackedEchelon, kernel_basis
+from .exact_linear import RatMatrix, TrackedEchelon, kernel_basis, rank
 
 
 class BidegreeError(ValueError):
@@ -59,11 +59,11 @@ def chart_bounds(dga, charts, trunc):
 class DgModule:
     """Immutable semifree dg-module presentation.
 
-    Slices, slice matrices, homology and stencils are cached per root
-    module.  A twist M(n) is a view of its root M with internal-degree
-    offset n: its slice (h, d) is the root's slice (h, d + n), labels
-    included, so every twist of M reads and fills the one set of caches
-    under the root's degrees."""
+    Slices, slice matrices and their ranks, homology and stencils are
+    cached per root module.  A twist M(n) is a view of its root M with
+    internal-degree offset n: its slice (h, d) is the root's slice
+    (h, d + n), labels included, so every twist of M reads and fills the
+    one set of caches under the root's degrees."""
 
     def __init__(self, dga: KoszulDga, gens, diff=None, shift_offset=0,
                  check=True):
@@ -82,6 +82,7 @@ class DgModule:
         self._root, self._offset = self, 0
         self._slice_cache = {}
         self._matrix_cache = {}
+        self._rank_cache = {}    # same keys as _matrix_cache, ints only
         self._homology_cache = {}
         if check:
             self._validate()
@@ -195,8 +196,10 @@ class DgModule:
             return hit
         out_map = self.slice_matrix(h, d, bounds)
         in_map = self.slice_matrix(h + 1, d, bounds)
-        data = HomologyData.from_maps(self.slice_basis(h, d, bounds),
-                                      out_map, in_map)
+        data = HomologyData.from_maps(
+            self.slice_basis(h, d, bounds), out_map, in_map,
+            _cached_rank(self._rank_cache, key, out_map),
+            _cached_rank(self._rank_cache, (h + 1,) + key[1:], in_map))
         self._homology_cache[key] = data
         return data
 
@@ -265,6 +268,14 @@ def _product_stencil(column, es, sign):
     return out
 
 
+def _cached_rank(cache, key, mat):
+    """rank(mat), computed once per key of `cache`."""
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = rank(mat)
+    return hit
+
+
 def _fill_slice_matrix(src, tgt, stencil):
     """Matrix from slice basis `src` to slice basis `tgt` whose column
     (g, es, m) is sum c * (k, es2, m + shift) over the terms
@@ -284,8 +295,12 @@ def _fill_slice_matrix(src, tgt, stencil):
 class HomologyData:
     """Homology of one slice with chosen cycle representatives.
 
-    `coords(vec)` expresses a cycle's class over the representatives
-    (None if vec is not a cycle modulo boundaries at all).
+    Rank first: dim = n - rank(out_map) - rank(in_map) comes from the
+    two ranks alone, and only a slice with dim > 0 builds its cycle
+    basis, representatives and tracker.  `coords(vec)` expresses a
+    cycle's class over the representatives, and gives None when vec is
+    not a cycle.  A zero slice keeps no tracker: there every cycle is a
+    boundary, so `coords` is {} for a cycle, as the tracker would say.
     """
 
     def __init__(self, labels, reps, tracker, out_map):
@@ -296,7 +311,11 @@ class HomologyData:
         self._out_map = out_map
 
     @classmethod
-    def from_maps(cls, labels, out_map, in_map):
+    def from_maps(cls, labels, out_map, in_map, out_rank, in_rank):
+        """Homology at the slice `labels` between in_map and out_map,
+        given the rank of each."""
+        if out_map.cols == out_rank + in_rank:
+            return cls(labels, [], None, out_map)
         cycles = kernel_basis(out_map)
         te = TrackedEchelon()
         for c in range(in_map.cols):
@@ -312,6 +331,8 @@ class HomologyData:
     def coords(self, vec):
         if self._out_map.apply(vec):
             return None
+        if self._tracker is None:
+            return {}
         return self._tracker.coordinates(vec)
 
 

@@ -311,34 +311,38 @@ class TrackedEchelon:
         return {t: -c for t, c in combo.items() if c}
 
 
-def kernel_basis(m: RatMatrix):
-    """Basis of {x : m x = 0}, deterministic.
+def _eliminate(m: RatMatrix):
+    """The one elimination behind `kernel_basis` and `rank`: reduced
+    echelon form by Gaussian elimination.
 
-    Gaussian elimination with pivot columns processed in increasing
-    order (reduced echelon); among candidate pivot rows the sparsest
-    wins, ties by lowest row index.  Kernel vectors are emitted in
-    increasing order of their free column.  Candidates come from a
-    column -> rows index over a throwaway row view, kept current as
-    elimination fills in and cancels entries.
+    Pivot columns are processed in increasing order; among candidate
+    pivot rows the sparsest wins, ties by lowest row index.  Candidates
+    come from a column -> rows index over a throwaway row view, kept
+    current as elimination fills in and cancels entries.  Returns the
+    reduced row view, the index and {pivot row: pivot column}.
     """
-    if not m.vals:  # zero map, often into an empty slice
-        return [{c: 1} for c in range(m.cols)]
     rows = m.row_dicts()
     ptr, row_idx = m.ptr, m.row_idx
     where = [set(row_idx[ptr[c]:ptr[c + 1]])   # col -> rows nonzero there
              for c in range(m.cols)]
     pivot_of = {}                              # pivot row index -> col
-    for col in range(m.cols):
-        hits = where[col]
-        cand = [(len(rows[i]), i) for i in hits if i not in pivot_of]
-        if not cand:
+    for col, hits in enumerate(where):
+        idx = None
+        for i in hits:
+            if i not in pivot_of:
+                n = len(rows[i])
+                if idx is None or n < fewest or n == fewest and i < idx:
+                    idx, fewest = i, n
+        if idx is None:
             continue
-        _, idx = min(cand)
+        pivot_of[idx] = col
         row = rows[idx]
         inv = _recip(row[col])
         if inv != 1:
             for k in row:
                 row[k] = _q(inv * row[k])
+        if len(hits) == 1:                     # nothing else to clear
+            continue
         for i in list(hits):
             if i == idx:
                 continue
@@ -353,7 +357,20 @@ def kernel_basis(m: RatMatrix):
                 else:
                     del r[k]
                     where[k].discard(i)
-        pivot_of[idx] = col
+    return rows, where, pivot_of
+
+
+def kernel_basis(m: RatMatrix):
+    """Basis of {x : m x = 0}, deterministic.
+
+    Read off the reduced echelon form of `_eliminate`, the one
+    elimination it shares with `rank`.  Kernel vectors are emitted in
+    increasing order of their free column, each with its lowest-index
+    entry 1.
+    """
+    if not m.vals:  # zero map, often into an empty slice
+        return [{c: 1} for c in range(m.cols)]
+    rows, where, pivot_of = _eliminate(m)
     # every non-pivot row was eliminated, so `where` holds pivot rows only
     basis = []
     pivot_cols = set(pivot_of.values())
@@ -369,11 +386,11 @@ def kernel_basis(m: RatMatrix):
 
 
 def rank(m: RatMatrix):
-    e = Echelon()
-    for row in m.row_dicts():
-        if row:
-            e.add(row, owned=True)
-    return e.dim
+    """Rank of m: the pivot count of `_eliminate`, the one elimination
+    it shares with `kernel_basis`."""
+    if not m.vals:
+        return 0
+    return len(_eliminate(m)[2])
 
 
 def solve(m: RatMatrix, b):

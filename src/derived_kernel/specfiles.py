@@ -131,6 +131,8 @@ def _parse_module_lines(entries, dga, label=""):
         else:
             raise InputError("line %d: unknown key %r in module %s"
                              % (lineno, key, label or "file"))
+    if not gens:
+        raise InputError("module %s: no generators" % (label or "file"))
     diff = {}
     for lineno, src, dst, poly_text in diffs:
         if src not in names:

@@ -27,7 +27,7 @@ from .exact_linear import (
     kernel_basis,
     rank,
 )
-from .dgmodules import HomologyData
+from .dgmodules import HomologyData, _cached_rank
 from .errors import require
 
 
@@ -101,6 +101,7 @@ class TotalComplex:
             self.offsets.setdefault(m, {})[(p, h)] = len(lst)
             lst.extend((p, h, i) for i in range(dim))
         self._dmat = {}
+        self._rank = {}    # m -> rank of D: T_m -> T_(m-1)
         self._homology = {}
         for m in sorted(self.basis):
             dm = self.matrix(m)
@@ -131,8 +132,11 @@ class TotalComplex:
 
     def homology(self, m):
         if m not in self._homology:
+            out_map, in_map = self.matrix(m), self.matrix(m + 1)
             self._homology[m] = HomologyData.from_maps(
-                self.basis.get(m, []), self.matrix(m), self.matrix(m + 1))
+                self.basis.get(m, []), out_map, in_map,
+                _cached_rank(self._rank, m, out_map),
+                _cached_rank(self._rank, m + 1, in_map))
         return self._homology[m]
 
     def homology_table(self):

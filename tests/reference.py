@@ -8,15 +8,19 @@ former echelon).  `ref_slice_matrix` and `ref_map_slice_matrix` build
 slice matrices by applying the module differential (or the map) to one
 basis element at a time.  `ref_koszul_module` is the kernel's former
 direct construction of a Koszul module, before it became the Koszul
-tensor of the structure sheaf.  The property tests require the kernel
-to reproduce them exactly, key order included.
+tensor of the structure sheaf.  `ref_homology` is the eager homology
+of a slice that the kernel computed before it went rank-first: cycle
+basis, boundary tracker and representatives for every slice, zero or
+not.  The property tests require the kernel to reproduce them exactly,
+key order included.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from derived_kernel.dga import as_element
-from derived_kernel.dgmodules import DgModule, global_bounds
+from derived_kernel.dgmodules import DgModule, HomologyData, global_bounds
+from derived_kernel.exact_linear import TrackedEchelon, kernel_basis
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -174,6 +178,23 @@ def ref_solve(m, b):
     for c in range(m.cols):
         te.add(m.column(c), tag=c)
     return te.coordinates(b)
+
+
+def ref_homology(labels, out_map, in_map):
+    """Homology between in_map and out_map: every cycle of
+    `kernel_basis(out_map)` is reduced against the boundaries, and the
+    ones that stay independent are the representatives."""
+    cycles = kernel_basis(out_map)
+    te = TrackedEchelon()
+    for c in range(in_map.cols):
+        col = in_map.column(c)
+        if col:
+            te.add(col, owned=True)
+    reps = []
+    for z in cycles:
+        if te.add(z, tag=len(reps)):
+            reps.append(z)
+    return HomologyData(labels, reps, te, out_map)
 
 
 def _fill(src, tgt, image):

@@ -341,3 +341,52 @@ def test_global_answers_certified_by_depth(files, tmp_path, T):
         assert code == 0
         assert out[key] == want, (command, T)
         assert out["stable"] == dict.fromkeys(want, stable), (command, T)
+
+
+EMPTY_MODULE_TRIPLE = """\
+[module F]
+# no generators
+[module G]
+generator = g0 : h=0 : a=0
+[module H]
+generator = h0 : h=0 : a=0
+[map f]
+source = F
+target = G
+[map g]
+source = G
+target = H
+entry = g0 -> h0 : 1
+"""
+
+EMPTY_MODULE_RUNS = """
+import json, sys
+from derived_kernel.cli import main
+for argv in json.loads(sys.argv[1]):
+    print(main(argv))
+"""
+
+
+def test_module_without_generators_exits_2(files, capsys, run_optimized):
+    # an empty module has homological span (0, -1), which no degree
+    # window can hold; the parser refuses it, with and without -O
+    empty = files["dir"] / "empty.mod"
+    empty.write_text("# no generators\n")
+    triple = files["dir"] / "empty.triple"
+    triple.write_text(EMPTY_MODULE_TRIPLE)
+    out = str(files["dir"] / "r.json")
+    cases = [([command, "--module", str(empty)],
+              "input error: module file: no generators")
+             for command in ("strong-check", "resolve", "tor-amplitude",
+                             "k0-class", "sections")]
+    cases.append((["exact-check", "--module", str(triple)],
+                  "input error: module F: no generators"))
+    argvs = [argv + ["--scheme", files["p1"], "--out", out]
+             for argv, _ in cases]
+    for argv, (_, message) in zip(argvs, cases):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == message
+    assert run_optimized(EMPTY_MODULE_RUNS, json.dumps(argvs)) \
+        == ["2"] * len(argvs)

@@ -1,0 +1,157 @@
+"""Rank-first homology against the eager construction it replaced.
+
+`DgModule.homology` and `TotalComplex.homology` take a slice's dimension
+from two ranks and build representatives only when it is positive.
+`reference.ref_homology` builds them for every slice.  Both must agree on
+the dimension, the representatives (key order included) and `coords`,
+and a zero slice must build no tracker.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from derived_kernel import dgmodules
+from derived_kernel.cech import LaurentTruncation, build_cech_double_complex
+from derived_kernel.dga import make_koszul_dga
+from derived_kernel.dgmodules import (
+    chart_bounds,
+    direct_sum,
+    free_module,
+    global_bounds,
+    structure_sheaf,
+)
+from derived_kernel.exact_linear import kernel_basis
+
+import corpus
+from reference import ref_homology
+
+COEFFS = [-2, -1, 1, 2, Fraction(1, 2)]
+
+
+@pytest.fixture
+def trackers(monkeypatch):
+    """Counts the trackers `HomologyData.from_maps` constructs."""
+    made = []
+
+    class Counting(dgmodules.TrackedEchelon):
+        def __init__(self):
+            made.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(dgmodules, "TrackedEchelon", Counting)
+    return made
+
+
+def items(vecs):
+    return [list(v.items()) for v in vecs]
+
+
+def combination(rng, vecs):
+    out = {}
+    for v in vecs:
+        c = rng.choice(COEFFS)
+        for k, x in v.items():
+            out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
+
+
+def check_slice(rng, got, labels, out_map, in_map, built):
+    """`got` is the kernel's homology of the slice, `built` the number of
+    trackers its construction made."""
+    want = ref_homology(labels, out_map, in_map)
+    assert got.labels == want.labels
+    assert got.dim == want.dim
+    assert items(got.reps) == items(want.reps)
+    assert built == (1 if want.dim else 0)
+    cycles = kernel_basis(out_map)
+    boundaries = [in_map.column(c) for c in range(in_map.cols)]
+    probes = [combination(rng, rng.sample(cycles, min(3, len(cycles))))
+              for _ in range(3)] if cycles else []
+    if boundaries:
+        probes.append(combination(rng, rng.sample(boundaries,
+                                                  min(3, len(boundaries)))))
+    for vec in probes:
+        coords = want.coords(vec)
+        assert coords is not None and got.coords(vec) == coords
+    n = len(labels)
+    for _ in range(3):
+        vec = {k: rng.choice(COEFFS) for k in rng.sample(range(n), min(2, n))}
+        if out_map.apply(vec):
+            assert got.coords(vec) is None and want.coords(vec) is None
+        else:
+            assert got.coords(vec) == want.coords(vec)
+
+
+def slice_bounds(dga):
+    """Global bounds, then every chart and the full intersection at
+    Laurent depth L = 0..2, each once (at L = 0 they are global)."""
+    nv = dga.base.nvars
+    chart_sets = [(i,) for i in range(nv)] + [tuple(range(nv))]
+    return dict.fromkeys([global_bounds(dga)] + [
+        chart_bounds(dga, charts, L)
+        for L in range(3) for charts in chart_sets])
+
+
+def test_module_homology_matches_eager(trackers):
+    rng = random.Random(8)
+    slices = zeros = 0
+    for name, m in corpus.spectral_corpus():
+        h_lo, h_hi = m.homological_span()
+        for bounds in slice_bounds(m.dga):
+            for h in range(h_lo, h_hi + 1):
+                for d in range(-4, 5):
+                    before = len(trackers)
+                    got = m.homology(h, d, bounds)
+                    built = len(trackers) - before
+                    check_slice(rng, got, m.slice_basis(h, d, bounds),
+                                m.slice_matrix(h, d, bounds),
+                                m.slice_matrix(h + 1, d, bounds), built)
+                    slices += 1
+                    zeros += not got.dim
+    # both kinds are covered
+    assert 0 < zeros < slices
+
+
+def cech_complexes():
+    """The Cech double complexes of the totalization tests in
+    `test_cech.py`."""
+    p1, p2 = make_koszul_dga(1, []), make_koszul_dga(2, [])
+    dbl = make_koszul_dga(1, [({(1, 0): 1}, 1), ({(1, 0): 1}, 1)])
+    o1 = structure_sheaf(p1)
+    yield o1, 0, 2
+    yield o1, 2, 3
+    for T in (2, 3, 4):
+        yield o1, -2, T
+    yield direct_sum([o1, free_module(p1, [-2]).shift(1)]), 0, 3
+    yield direct_sum([o1, free_module(p1, [-3]).shift(1)]), 0, 4
+    yield direct_sum([free_module(p2, [-3]).shift(1),
+                      structure_sheaf(p2)]), 0, 3
+    yield structure_sheaf(dbl), 0, 3
+
+
+def test_total_homology_matches_eager(trackers):
+    rng = random.Random(9)
+    for m, twist, T in cech_complexes():
+        tc = build_cech_double_complex(m, twist, LaurentTruncation(T)).totalize()
+        degrees = tc.degrees()
+        for deg in range(degrees[0] - 1, degrees[-1] + 2):
+            before = len(trackers)
+            got = tc.homology(deg)
+            check_slice(rng, got, tc.basis.get(deg, []), tc.matrix(deg),
+                        tc.matrix(deg + 1), len(trackers) - before)
+
+
+def test_twist_views_share_the_rank_cache():
+    p1 = corpus.p1()
+    m = corpus.point_sheaf(p1)
+    view = m.twist(2)
+    assert view._rank_cache is m._rank_cache
+    view.homology(0, -1)
+    # the view's (0, -1) is the root's (0, 1): ranks of d_0 and d_1
+    assert set(m._rank_cache) == {(0, 1, global_bounds(p1)),
+                                  (1, 1, global_bounds(p1))}
+    ranks = dict(m._rank_cache)
+    assert m.homology(0, 1).dim == view.homology(0, -1).dim
+    assert m._rank_cache == ranks
