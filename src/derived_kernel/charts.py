@@ -18,6 +18,13 @@ and returns the deeper answer with the flag.
 Modules entering one comparison must see each other's denominators, so
 all participants share an alignment depth derived from their generator
 degrees (`module_depth_hint`).
+
+The levels of a ladder are translates of one another: the slice at
+lower bounds b is x^b times the global slice at degree d - sum(b), so
+the (d, L) slice of a chart set with k inverted variables is its
+(d - k, L + 1) slice.  Modules and presentations cache slice matrices,
+homology and relation spans under that global degree, so the ladders of
+nearby degrees and depths read one another's slices (`dgmodules`).
 """
 
 from __future__ import annotations

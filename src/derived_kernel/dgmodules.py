@@ -63,7 +63,17 @@ class DgModule:
     cached per root module.  A twist M(n) is a view of its root M with
     internal-degree offset n: its slice (h, d) is the root's slice
     (h, d + n), labels included, so every twist of M reads and fills the
-    one set of caches under the root's degrees."""
+    one set of caches under the root's degrees.
+
+    Truncation is one more degree offset.  The slice at lower bounds b
+    is x^b times the global slice at degree d - sum(b), label for label
+    in the same order (`laurent_monomials` builds it as that translate),
+    and the stencils commute with the translation.  So slice matrices,
+    their ranks and homology are cached under the global key
+    (h, d + offset - sum(b)), and every chart set and depth with the
+    same key shares them.  Only labels are kept per bounds, by
+    `slice_basis`; homology served for other bounds carries the
+    request's labels."""
 
     def __init__(self, dga: KoszulDga, gens, diff=None, shift_offset=0,
                  check=True):
@@ -159,7 +169,7 @@ class DgModule:
         """Matrix of d: slice(h, d) -> slice(h-1, d) in slice bases."""
         if bounds is None:
             bounds = global_bounds(self.dga)
-        key = (h, d + self._offset, bounds)
+        key = (h, d + self._offset - sum(bounds))
         hit = self._matrix_cache.get(key)
         if hit is not None:
             return hit
@@ -190,18 +200,18 @@ class DgModule:
     def homology(self, h, d, bounds=None):
         if bounds is None:
             bounds = global_bounds(self.dga)
-        key = (h, d + self._offset, bounds)
+        labels = self.slice_basis(h, d, bounds)
+        key = (h, d + self._offset - sum(bounds))
         hit = self._homology_cache.get(key)
-        if hit is not None:
-            return hit
-        out_map = self.slice_matrix(h, d, bounds)
-        in_map = self.slice_matrix(h + 1, d, bounds)
-        data = HomologyData.from_maps(
-            self.slice_basis(h, d, bounds), out_map, in_map,
-            _cached_rank(self._rank_cache, key, out_map),
-            _cached_rank(self._rank_cache, (h + 1,) + key[1:], in_map))
-        self._homology_cache[key] = data
-        return data
+        if hit is None:
+            hit = self._homology_cache[key] = HomologyData.from_maps(
+                labels, self.slice_matrix(h, d, bounds),
+                self.slice_matrix(h + 1, d, bounds),
+                self._rank_cache, key, (h + 1, key[1]))
+        elif hit.labels is not labels:
+            hit = copy(hit)
+            hit.labels = labels
+        return hit
 
     # -- constructions ---------------------------------------------------
 
@@ -268,14 +278,6 @@ def _product_stencil(column, es, sign):
     return out
 
 
-def _cached_rank(cache, key, mat):
-    """rank(mat), computed once per key of `cache`."""
-    hit = cache.get(key)
-    if hit is None:
-        hit = cache[key] = rank(mat)
-    return hit
-
-
 def _fill_slice_matrix(src, tgt, stencil):
     """Matrix from slice basis `src` to slice basis `tgt` whose column
     (g, es, m) is sum c * (k, es2, m + shift) over the terms
@@ -311,12 +313,23 @@ class HomologyData:
         self._out_map = out_map
 
     @classmethod
-    def from_maps(cls, labels, out_map, in_map, out_rank, in_rank):
+    def from_maps(cls, labels, out_map, in_map, ranks, out_key, in_key):
         """Homology at the slice `labels` between in_map and out_map,
-        given the rank of each."""
+        whose ranks `ranks` caches under out_key and in_key.  When the
+        rank of out_map is not yet cached, its cycles are computed at
+        once and the rank read off them: one elimination gives both."""
+        cycles = None
+        out_rank = ranks.get(out_key)
+        if out_rank is None:
+            cycles = kernel_basis(out_map)
+            out_rank = ranks[out_key] = out_map.cols - len(cycles)
+        in_rank = ranks.get(in_key)
+        if in_rank is None:
+            in_rank = ranks[in_key] = rank(in_map)
         if out_map.cols == out_rank + in_rank:
             return cls(labels, [], None, out_map)
-        cycles = kernel_basis(out_map)
+        if cycles is None:
+            cycles = kernel_basis(out_map)
         te = TrackedEchelon()
         for c in range(in_map.cols):
             col = in_map.column(c)
@@ -403,10 +416,11 @@ class ModuleMap:
 
     def homology_matrix(self, h, d, bounds=None):
         """Induced map on the homology representatives of source and
-        target at (h, d), computed once per (h, d, bounds)."""
+        target at (h, d), computed once per global key
+        (h, d - sum(bounds)) as the modules' homology is."""
         if bounds is None:
             bounds = global_bounds(self.dga)
-        key = (h, d, bounds)
+        key = (h, d - sum(bounds))
         hit = self._homology_cache.get(key)
         if hit is not None:
             return hit

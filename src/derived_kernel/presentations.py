@@ -11,6 +11,9 @@ that range is reported, never assumed.
 Presentations also drive chart-local computations: the degree-d slice
 of a presented module localized at a chart intersection is the
 cokernel of the relation span on truncated Laurent monomial bases.
+At lower bounds b that slice is x^b times the global one at degree
+d - sum(b), so the relation span is eliminated once per d - sum(b);
+only labels are kept per bounds.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ class PresentedModule:
     new_gen_degrees: tuple = ()
     new_rel_degrees: tuple = ()
     _slice_cache: dict = field(default_factory=dict, repr=False)
+    _span_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for row in self.relations:
@@ -98,7 +102,8 @@ class PresentedModule:
 
     def localized_slice(self, d, bounds):
         """Cokernel of the relation span on the degree-d truncated
-        Laurent slice; returns a LocalizedSlice."""
+        Laurent slice; returns a LocalizedSlice.  Its labels are kept
+        per bounds, its span per global degree d - sum(bounds)."""
         key = (d, bounds)
         hit = self._slice_cache.get(key)
         if hit is not None:
@@ -109,6 +114,19 @@ class PresentedModule:
             for mm in laurent_monomials(nvars, d - ag, bounds):
                 labels.append((g, mm))
         index = {lab: k for k, lab in enumerate(labels)}
+        depth = d - sum(bounds)
+        span = self._span_cache.get(depth)
+        if span is None:
+            span = self._span_cache[depth] = self._relation_span(d, bounds,
+                                                                 index)
+        out = LocalizedSlice(labels, index, *span)
+        self._slice_cache[key] = out
+        return out
+
+    def _relation_span(self, d, bounds, index):
+        """(cokernel basis positions, tracker) of the relation span on
+        the degree-d slice at `bounds` with label positions `index`."""
+        nvars = self.dga.base.nvars
         te = TrackedEchelon()
         for row in self.all_relations():
             bdeg = self.relation_degree(row)
@@ -124,12 +142,10 @@ class PresentedModule:
                 if vec:
                     te.add(vec)
         reps = []
-        for k in range(len(labels)):
+        for k in range(len(index)):
             if te.add({k: 1}, tag=len(reps)):
                 reps.append(k)
-        out = LocalizedSlice(labels, index, reps, te)
-        self._slice_cache[key] = out
-        return out
+        return reps, te
 
 
 class LocalizedSlice:

@@ -27,7 +27,7 @@ from .exact_linear import (
     kernel_basis,
     rank,
 )
-from .dgmodules import HomologyData, _cached_rank
+from .dgmodules import HomologyData
 from .errors import require
 
 
@@ -134,9 +134,7 @@ class TotalComplex:
         if m not in self._homology:
             out_map, in_map = self.matrix(m), self.matrix(m + 1)
             self._homology[m] = HomologyData.from_maps(
-                self.basis.get(m, []), out_map, in_map,
-                _cached_rank(self._rank, m, out_map),
-                _cached_rank(self._rank, m + 1, in_map))
+                self.basis.get(m, []), out_map, in_map, self._rank, m, m + 1)
         return self._homology[m]
 
     def homology_table(self):

@@ -1,17 +1,26 @@
-"""`rank`, `kernel_basis` and `solve` against brute force.
+"""`rank`, `kernel_basis`, `solve` and `smith_normal_form` against brute
+force.
 
 The oracles here share no code with the exact layer: a rank is the size
 of the largest nonzero minor, each minor a `Fraction` cofactor
-determinant, and products are summed entry by entry.
+determinant, and products are summed entry by entry.  The Smith form's
+leading products are the gcds of the minors of each size.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derived_kernel.exact_linear import RatMatrix, kernel_basis, rank, solve
+from derived_kernel.exact_linear import (
+    RatMatrix,
+    kernel_basis,
+    rank,
+    smith_normal_form,
+    solve,
+)
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -91,3 +100,45 @@ def test_solve_solves_or_proves_inconsistent(data, draw):
     else:
         assert got is not None
         assert times(a, got) == b
+
+
+@st.composite
+def integer_matrix(draw, max_dim=4):
+    rows = draw(st.integers(1, max_dim))
+    cols = draw(st.integers(1, max_dim))
+    return [[draw(st.integers(-6, 6)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def product(a, b):
+    return [[sum(x * b[k][j] for k, x in enumerate(row))
+             for j in range(len(b[0]))] for row in a]
+
+
+def minor_gcd(a, k):
+    """gcd of the k x k minors of a: d_1 * ... * d_k of its Smith form."""
+    out = 0
+    for rs in combinations(range(len(a)), k):
+        for cs in combinations(range(len(a[0])), k):
+            out = gcd(out, int(det([[a[r][c] for c in cs] for r in rs])))
+    return out
+
+
+@SETTINGS
+@given(integer_matrix())
+def test_smith_normal_form_is_unimodular_and_divisible(a):
+    rows, cols = len(a), len(a[0])
+    form = smith_normal_form(a)
+    diag = list(form.diagonal)
+    U = [list(r) for r in form.left]
+    V = [list(r) for r in form.right]
+    assert (len(U), len(V), len(diag)) == (rows, cols, min(rows, cols))
+    assert product(product(U, a), V) == [
+        [diag[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
+    assert abs(det(U)) == abs(det(V)) == 1
+    # nonnegative, d_i | d_(i+1), zeros trail
+    assert all(x >= 0 for x in diag)
+    for x, y in zip(diag, diag[1:]):
+        assert y % x == 0 if x else y == 0
+    for k in range(1, len(diag) + 1):
+        assert prod(diag[:k]) == minor_gcd(a, k)

@@ -4,7 +4,9 @@
 from two ranks and build representatives only when it is positive.
 `reference.ref_homology` builds them for every slice.  Both must agree on
 the dimension, the representatives (key order included) and `coords`,
-and a zero slice must build no tracker.
+and a zero slice must build no tracker.  Slices that are translates of
+each other (same global key (h, d - sum(bounds))) share one homology, so
+a nonzero slice builds its tracker only the first time its key is asked.
 """
 
 import random
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from derived_kernel import dgmodules
+from derived_kernel import dgmodules, exact_linear
 from derived_kernel.cech import LaurentTruncation, build_cech_double_complex
 from derived_kernel.dga import make_koszul_dga
 from derived_kernel.dgmodules import (
@@ -57,14 +59,14 @@ def combination(rng, vecs):
     return {k: x for k, x in out.items() if x}
 
 
-def check_slice(rng, got, labels, out_map, in_map, built):
+def check_slice(rng, got, labels, out_map, in_map, built, fresh=True):
     """`got` is the kernel's homology of the slice, `built` the number of
-    trackers its construction made."""
+    trackers its construction made, `fresh` whether its key was new."""
     want = ref_homology(labels, out_map, in_map)
     assert got.labels == want.labels
     assert got.dim == want.dim
     assert items(got.reps) == items(want.reps)
-    assert built == (1 if want.dim else 0)
+    assert built == (1 if want.dim and fresh else 0)
     cycles = kernel_basis(out_map)
     boundaries = [in_map.column(c) for c in range(in_map.cols)]
     probes = [combination(rng, rng.sample(cycles, min(3, len(cycles))))
@@ -96,22 +98,27 @@ def slice_bounds(dga):
 
 def test_module_homology_matches_eager(trackers):
     rng = random.Random(8)
-    slices = zeros = 0
+    slices = zeros = shared = 0
     for name, m in corpus.spectral_corpus():
         h_lo, h_hi = m.homological_span()
+        seen = set()
         for bounds in slice_bounds(m.dga):
             for h in range(h_lo, h_hi + 1):
                 for d in range(-4, 5):
+                    key = (h, d - sum(bounds))
                     before = len(trackers)
                     got = m.homology(h, d, bounds)
                     built = len(trackers) - before
                     check_slice(rng, got, m.slice_basis(h, d, bounds),
                                 m.slice_matrix(h, d, bounds),
-                                m.slice_matrix(h + 1, d, bounds), built)
+                                m.slice_matrix(h + 1, d, bounds), built,
+                                fresh=key not in seen)
                     slices += 1
                     zeros += not got.dim
-    # both kinds are covered
-    assert 0 < zeros < slices
+                    shared += bool(got.dim) and key in seen
+                    seen.add(key)
+    # zero, nonzero and shared nonzero slices are all covered
+    assert 0 < zeros < slices and shared
 
 
 def cech_complexes():
@@ -143,15 +150,33 @@ def test_total_homology_matches_eager(trackers):
                         tc.matrix(deg + 1), len(trackers) - before)
 
 
+def test_fresh_slice_eliminates_each_map_once(monkeypatch):
+    """A fresh slice with dim > 0 and two nonzero maps: the rank and the
+    cycles of d_h come from one elimination, d_(h+1) is ranked once."""
+    calls = []
+    eliminate = exact_linear._eliminate
+
+    def counting(m):
+        calls.append(m)
+        return eliminate(m)
+
+    monkeypatch.setattr(exact_linear, "_eliminate", counting)
+    m = structure_sheaf(corpus.double_point())
+    got = m.homology(1, 3)
+    out_map, in_map = m.slice_matrix(1, 3), m.slice_matrix(2, 3)
+    assert got.dim == 1 and out_map.vals and in_map.vals
+    assert calls == [out_map, in_map]
+
+
 def test_twist_views_share_the_rank_cache():
     p1 = corpus.p1()
     m = corpus.point_sheaf(p1)
     view = m.twist(2)
     assert view._rank_cache is m._rank_cache
     view.homology(0, -1)
-    # the view's (0, -1) is the root's (0, 1): ranks of d_0 and d_1
-    assert set(m._rank_cache) == {(0, 1, global_bounds(p1)),
-                                  (1, 1, global_bounds(p1))}
+    # the view's (0, -1) is the root's (0, 1): ranks of d_0 and d_1,
+    # under the global keys (h, d + offset - sum(bounds))
+    assert set(m._rank_cache) == {(0, 1), (1, 1)}
     ranks = dict(m._rank_cache)
     assert m.homology(0, 1).dim == view.homology(0, -1).dim
     assert m._rank_cache == ranks
