@@ -29,8 +29,9 @@ provider; it alone holds the cover, offsets and restriction signs.  A
 dg-module provides its truncated Laurent slices, which restrict label
 by label, with its slice matrices as vertical blocks
 (`build_cech_double_complex`).  A presented pi0-module provides one
-row of localized cokernel slices, which restrict by coordinates
-(`sheaf_cohomology`).
+row of localized cokernel slices (`HomologyData` quotients), which
+restrict by coordinates: a representative's labels, read in the larger
+chart set's slice (`sheaf_cohomology`).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from itertools import combinations
 
 from .charts import module_depth_hint
 from .dgmodules import DgModule, chart_bounds
-from .errors import InputError
+from .errors import InputError, require
 from .exact_linear import RatMatrix
 from .presentations import PresentedModule
 from .spectral import DoubleComplex
@@ -163,15 +164,19 @@ def sheaf_cohomology(pres: PresentedModule, twist=0, trunc=LaurentTruncation(2))
     rows = pres.all_relations()
     degrees = list(pres.gen_degrees) + [pres.relation_degree(r) for r in rows]
     deep = all(d is None or d - twist - n <= trunc.bound + 1 for d in degrees)
-    slices = {}
+    slices, index = {}, {}
 
     def basis(h, b):
-        slices[b] = pres.localized_slice(twist, b)
-        return range(slices[b].dim)
+        sl = slices[b] = pres.localized_slice(twist, b)
+        index[b] = {lab: j for j, lab in enumerate(sl.labels)}
+        return range(sl.dim)
 
     def restrict(b, k, b2):
         src = slices[b]
-        return slices[b2].coords_of(*src.labels[src.rep_labels[k]])
+        coords = slices[b2].coords(
+            {index[b2][src.labels[j]]: c for j, c in src.reps[k].items()})
+        require(coords is not None, "vector outside the localized slice")
+        return coords
 
     def run(T):
         total = _cech_complex(pres.dga, T, (0,), basis, restrict, None)

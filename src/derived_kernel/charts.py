@@ -23,15 +23,16 @@ The levels of a ladder are translates of one another: the slice at
 lower bounds b is x^b times the global slice at degree d - sum(b), so
 the (d, L) slice of a chart set with k inverted variables is its
 (d - k, L + 1) slice.  Modules and presentations cache slice matrices,
-homology and relation spans under that global degree, so the ladders of
-nearby degrees and depths read one another's slices (`dgmodules`).
+homology and localized cokernel slices under that global degree, so the
+ladders of nearby degrees and depths read one another's slices
+(`dgmodules`).  Both kinds of slice are `HomologyData` quotients, so one
+`ChartHomologyPair` serves module homology and presented cokernels.
 """
 
 from __future__ import annotations
 
 from .dgmodules import DgModule, ModuleMap, chart_bounds
-from .errors import require
-from .exact_linear import Echelon, RatMatrix, kernel_basis, rank
+from .exact_linear import TrackedEchelon, kernel_basis, rank
 from .presentations import PresentedModule
 
 
@@ -52,51 +53,36 @@ def presented_depth_hint(pres: PresentedModule, d):
 
 
 class ChartHomologyPair:
-    """H_i(M)_d at truncations L and L+1 with the inclusion map."""
+    """A slice quotient at truncations L and L+1 of a chart set with the
+    inclusion map `iota`.  `quotient_at_bounds(b)` gives the quotient
+    at Laurent bounds b: a module's homology H_i(M)_d, or a
+    presentation's localized cokernel slice."""
 
-    def __init__(self, m: DgModule, i, d, charts, L):
-        self.module = m
-        b0 = chart_bounds(m.dga, charts, L)
-        b1 = chart_bounds(m.dga, charts, L + 1)
-        self.b0, self.b1 = b0, b1
-        self.h0 = m.homology(i, d, b0)
-        self.h1 = m.homology(i, d, b1)
-        index1 = {lab: k for k, lab in enumerate(self.h1.labels)}
-        ent = {}
-        for col, rep in enumerate(self.h0.reps):
-            vec = {index1[self.h0.labels[k]]: c for k, c in rep.items()}
-            coords = self.h1.coords(vec)
-            require(coords is not None, "a class left the deeper slice")
-            for row, c in coords.items():
-                ent[(row, col)] = c
-        self.iota = RatMatrix(self.h1.dim, self.h0.dim, ent)
+    def __init__(self, quotient_at_bounds, dga, charts, L):
+        self.b0 = chart_bounds(dga, charts, L)
+        self.b1 = chart_bounds(dga, charts, L + 1)
+        self.h0 = quotient_at_bounds(self.b0)
+        self.h1 = quotient_at_bounds(self.b1)
+        images = []
+        if self.h0.reps:
+            index1 = {lab: k for k, lab in enumerate(self.h1.labels)}
+            labels0 = self.h0.labels
+            images = [{index1[labels0[k]]: c for k, c in rep.items()}
+                      for rep in self.h0.reps]
+        self.iota = self.h1.matrix_of(images, "a class left the deeper slice")
 
     def surviving_dim(self):
         return rank(self.iota)
 
 
-class PresentedSlicePair:
-    """Localized cokernel slice of a presentation at L and L+1 with the
-    inclusion map; plays the homology role for presented modules."""
-
-    def __init__(self, pres: PresentedModule, d, charts, L):
-        self.pres = pres
-        b0 = chart_bounds(pres.dga, charts, L)
-        b1 = chart_bounds(pres.dga, charts, L + 1)
-        self.b0, self.b1 = b0, b1
-        self.sl0 = pres.localized_slice(d, b0)
-        self.sl1 = pres.localized_slice(d, b1)
-        ent = {}
-        for col, k in enumerate(self.sl0.rep_labels):
-            g, exps = self.sl0.labels[k]
-            for row, c in self.sl1.coords_of(g, exps).items():
-                ent[(row, col)] = c
-        self.iota = RatMatrix(self.sl1.dim, self.sl0.dim, ent)
+def homology_pair(m: DgModule, i, d, charts, L):
+    """The ChartHomologyPair of H_i(M)_d."""
+    return ChartHomologyPair(lambda b: m.homology(i, d, b), m.dga, charts, L)
 
 
 def _span_dims(base_cols, extra_cols):
     """(dim base, dim base+extra) for sparse column collections."""
-    e = Echelon()
+    e = TrackedEchelon()
     for c in base_cols:
         if c:
             e.add(c)
@@ -135,9 +121,9 @@ def map_homology_pair(f: ModuleMap, i, d, charts, L, extra,
                       src_pair=None, tgt_pair=None):
     """Build the SurvivingMap of f at (i, d) on a chart set."""
     if src_pair is None:
-        src_pair = ChartHomologyPair(f.source, i, d, charts, L + extra)
+        src_pair = homology_pair(f.source, i, d, charts, L + extra)
     if tgt_pair is None:
-        tgt_pair = ChartHomologyPair(f.target, i, d, charts, L + extra)
+        tgt_pair = homology_pair(f.target, i, d, charts, L + extra)
     return SurvivingMap(src_pair, tgt_pair,
                         f.homology_matrix(i, d, src_pair.b0),
                         f.homology_matrix(i, d, src_pair.b1))
@@ -147,9 +133,9 @@ def triple_defects(f: ModuleMap, g: ModuleMap, i, d, chart, L, extra):
     """(not injective, not surjective, middle homology) surviving
     defects of F -> G -> H at one slice."""
     charts = (chart,)
-    fp = ChartHomologyPair(f.source, i, d, charts, L + extra)
-    gp = ChartHomologyPair(f.target, i, d, charts, L + extra)
-    hp = ChartHomologyPair(g.target, i, d, charts, L + extra)
+    fp = homology_pair(f.source, i, d, charts, L + extra)
+    gp = homology_pair(f.target, i, d, charts, L + extra)
+    hp = homology_pair(g.target, i, d, charts, L + extra)
     a = map_homology_pair(f, i, d, charts, L, extra, fp, gp)
     b = map_homology_pair(g, i, d, charts, L, extra, gp, hp)
     inj = a.surviving_kernel_dim() > 0
@@ -181,7 +167,7 @@ def chart_homology_vanishes(m: DgModule, i_range, d_range, T, charts=None):
         for i in i_range:
             for d in d_range:
                 extra = module_depth_hint(m, d)
-                val, ok = _stable_pair(lambda L: ChartHomologyPair(
+                val, ok = _stable_pair(lambda L: homology_pair(
                     m, i, d, (chart,), L + extra).surviving_dim(), T)
                 if not ok:
                     unstable.append((chart, i, d))

@@ -295,13 +295,16 @@ def _fill_slice_matrix(src, tgt, stencil):
 
 
 class HomologyData:
-    """Homology of one slice with chosen cycle representatives.
+    """A slice quotient with chosen representatives: the homology of a
+    module or total-complex slice, a localized cokernel slice of a
+    presentation, or a spectral page cell.
 
-    Rank first: dim = n - rank(out_map) - rank(in_map) comes from the
-    two ranks alone, and only a slice with dim > 0 builds its cycle
-    basis, representatives and tracker.  `coords(vec)` expresses a
-    cycle's class over the representatives, and gives None when vec is
-    not a cycle.  A zero slice keeps no tracker: there every cycle is a
+    Rank first: for homology, dim = n - rank(out_map) - rank(in_map)
+    comes from the two ranks alone, and only a slice with dim > 0 builds
+    its cycle basis, representatives and tracker.  `coords(vec)`
+    expresses a cycle's class over the representatives, and gives None
+    when vec is not a cycle (out_map None: every vector is one) or not
+    in the span.  A zero slice keeps no tracker: there every cycle is a
     boundary, so `coords` is {} for a cycle, as the tracker would say.
     """
 
@@ -311,6 +314,22 @@ class HomologyData:
         self.dim = len(reps)
         self._tracker = tracker
         self._out_map = out_map
+
+    @classmethod
+    def quotient(cls, labels, cycles, boundaries, out_map=None):
+        """The span of `cycles` modulo the span of `boundaries`, over the
+        slice `labels`.  Boundaries go in untagged and are handed over
+        (fresh dicts of canonical nonzero values, as `owned=True` asks);
+        each cycle that grows the span becomes a representative."""
+        te = TrackedEchelon()
+        for b in boundaries:
+            if b:
+                te.add(b, owned=True)
+        reps = []
+        for z in cycles:
+            if te.add(z, tag=len(reps)):
+                reps.append(z)
+        return cls(labels, reps, te, out_map)
 
     @classmethod
     def from_maps(cls, labels, out_map, in_map, ranks, out_key, in_key):
@@ -330,23 +349,27 @@ class HomologyData:
             return cls(labels, [], None, out_map)
         if cycles is None:
             cycles = kernel_basis(out_map)
-        te = TrackedEchelon()
-        for c in range(in_map.cols):
-            col = in_map.column(c)
-            if col:
-                te.add(col, owned=True)
-        reps = []
-        for z in cycles:
-            if te.add(z, tag=len(reps)):
-                reps.append(z)
-        return cls(labels, reps, te, out_map)
+        boundaries = (in_map.column(c) for c in range(in_map.cols))
+        return cls.quotient(labels, cycles, boundaries, out_map)
 
     def coords(self, vec):
-        if self._out_map.apply(vec):
+        if self._out_map is not None and self._out_map.apply(vec):
             return None
         if self._tracker is None:
             return {}
         return self._tracker.coordinates(vec)
+
+    def matrix_of(self, images, what):
+        """Matrix whose column c holds the coordinates of images[c] over
+        the representatives; `what` is the message of the check that
+        fails when an image has none."""
+        ent = {}
+        for col, img in enumerate(images):
+            coords = self.coords(img)
+            require(coords is not None, what)
+            for row, c in coords.items():
+                ent[(row, col)] = c
+        return RatMatrix(self.dim, len(images), ent)
 
 
 # -- maps ----------------------------------------------------------------
@@ -427,14 +450,8 @@ class ModuleMap:
         hs = self.source.homology(h, d, bounds)
         ht = self.target.homology(h, d, bounds)
         sl = self.slice_matrix(h, d, bounds)
-        ent = {}
-        for col, rep in enumerate(hs.reps):
-            img = sl.apply(rep)
-            coords = ht.coords(img)
-            require(coords is not None, "chain map broke cycles")
-            for row, c in coords.items():
-                ent[(row, col)] = c
-        hit = self._homology_cache[key] = RatMatrix(ht.dim, hs.dim, ent)
+        hit = self._homology_cache[key] = ht.matrix_of(
+            [sl.apply(rep) for rep in hs.reps], "chain map broke cycles")
         return hit
 
     def compose(self, other):

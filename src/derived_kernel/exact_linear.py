@@ -223,60 +223,28 @@ class RatMatrix:
         return not self.vals
 
 
-class Echelon:
-    """Incremental row echelon structure over Q.
-
-    Maintains reduced rows keyed by pivot column.  `reduce` returns the
-    residual of a vector modulo the current span; `add` inserts the
-    residual if nonzero.  Pivot of a vector is its smallest index.
-    Both copy `vec` first, unless `owned=True` hands it over: the caller
-    then promises a fresh dict of canonical nonzero values (a `column`
-    or `row_dicts` entry of a RatMatrix) that it never reads again, and
-    it is reduced in place.
-    """
-
-    def __init__(self):
-        self.pivots = {}  # pivot col -> normalized row (dict)
-
-    @property
-    def dim(self):
-        return len(self.pivots)
-
-    def reduce(self, vec, owned=False):
-        res = vec if owned else _canonical(vec)
-        while res:
-            p = min(res)
-            row = self.pivots.get(p)
-            if row is None:
-                return res
-            vec_axpy(res, -res[p], row)
-        return res
-
-    def add(self, vec, owned=False):
-        """Insert vec; return True if it enlarged the span."""
-        res = self.reduce(vec, owned)
-        if not res:
-            return False
-        p = min(res)
-        self.pivots[p] = vec_scale(_recip(res[p]), res)
-        return True
-
-    def contains(self, vec):
-        return not self.reduce(vec)
-
-
 class TrackedEchelon:
-    """Echelon structure that remembers how each reduced row was formed,
-    so membership comes with explicit coordinates over tagged inserts.
+    """Incremental row echelon structure over Q that remembers how each
+    reduced row was formed, so membership comes with explicit
+    coordinates over tagged inserts.
 
-    Vectors inserted without a tag enlarge the span anonymously (used
-    for quotients: reduce modulo boundaries, coordinates over chosen
-    representatives only).  `owned=True` hands a vector over as in
-    `Echelon`.
+    Reduced rows are keyed by pivot column, the smallest index of a
+    vector.  Vectors inserted without a tag enlarge the span anonymously
+    (used for quotients: reduce modulo boundaries, coordinates over
+    chosen representatives only); a row built from untagged inserts
+    alone has an empty combination, and reducing by it costs no
+    bookkeeping.  `reduce` and `add` copy `vec` first, unless
+    `owned=True` hands it over: the caller then promises a fresh dict of
+    canonical nonzero values (a `column` or `row_dicts` entry of a
+    RatMatrix) that it never reads again, and it is reduced in place.
     """
 
     def __init__(self):
         self.pivots = {}  # pivot col -> (row, combo)  combo: {tag: coeff}
+
+    @property
+    def dim(self):
+        return len(self.pivots)
 
     def reduce(self, vec, owned=False):
         res = vec if owned else _canonical(vec)
@@ -289,7 +257,8 @@ class TrackedEchelon:
             row, rcombo = hit
             c = res[p]
             vec_axpy(res, -c, row)
-            vec_axpy(combo, -c, rcombo)
+            if rcombo:
+                vec_axpy(combo, -c, rcombo)
         return res, combo
 
     def add(self, vec, tag=None, owned=False):

@@ -240,6 +240,15 @@ def _pi0_generator_choice(pres: PresentedModule, seed):
     return out
 
 
+def _twist_sum_cover(m: DgModule, chosen):
+    """The twists -a and the map from their twist sum to m that sends
+    generator c to the cycle of chosen[c] = (degree a, cycle)."""
+    twists = [-a for a, _ in chosen]
+    entries = {(gi, col): c for col, (_, cyc) in enumerate(chosen)
+               for gi, c in cyc.items()}
+    return twists, ModuleMap(free_module(m.dga, twists), m, entries)
+
+
 def try_split(m: DgModule, window: DegreeWindow,
               trunc: LaurentTruncation, pres: PresentedModule = None):
     """Twist-sum form of m, certified by a quasi-isomorphism, or None.
@@ -251,13 +260,8 @@ def try_split(m: DgModule, window: DegreeWindow,
         pres = extract_presentation(m, 0, window)
     if pres.relations:
         return None
-    twists = [-aa for aa in pres.gen_degrees]
-    source = free_module(m.dga, twists)
-    entries = {}
-    for col, cyc in enumerate(pres.gen_cycles):
-        for gi, c in cyc.items():
-            entries[(gi, col)] = c
-    cmp_map = ModuleMap(source, m, entries)
+    twists, cmp_map = _twist_sum_cover(
+        m, list(zip(pres.gen_degrees, pres.gen_cycles)))
     h_lo, h_hi = m.homological_span()
     i_range = range(min(h_lo, 0) - 1, h_hi + 1)
     ok, _, unstable = map_is_stable_quasi_iso(
@@ -308,13 +312,7 @@ def resolve_perfect(m: DgModule, max_steps=None, seed=0,
                     "pi_0 presentation is empty but the sheaf is not a "
                     "certified zero; widen the window",
                     suggestion="widen the degree window")
-        twists = [-aa for aa, _ in chosen]
-        source = free_module(m.dga, twists)
-        entries = {}
-        for col, (_, cyc) in enumerate(chosen):
-            for gi, c in cyc.items():
-                entries[(gi, col)] = c
-        cover = ModuleMap(source, current, entries)
+        twists, cover = _twist_sum_cover(current, chosen)
         terms.append(twists)
         maps.append(cover)
         from .dgmodules import fibre

@@ -10,20 +10,24 @@ that range is reported, never assumed.
 
 Presentations also drive chart-local computations: the degree-d slice
 of a presented module localized at a chart intersection is the
-cokernel of the relation span on truncated Laurent monomial bases.
-At lower bounds b that slice is x^b times the global one at degree
-d - sum(b), so the relation span is eliminated once per d - sum(b);
-only labels are kept per bounds.
+cokernel of the relation span on truncated Laurent monomial bases, a
+`dgmodules.HomologyData` whose representatives are the unit vectors
+that survive the span.  At lower bounds b that slice is x^b times the
+global one at degree d - sum(b), so the quotient is computed once per
+d - sum(b) and relabelled per bounds, as module homology is.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import add
 
 from .dga import laurent_monomials, monomials
-from .errors import PreconditionError, require
-from .exact_linear import Echelon, RatMatrix, TrackedEchelon, kernel_basis
+from .dgmodules import HomologyData
+from .errors import PreconditionError
+from .exact_linear import RatMatrix, TrackedEchelon, kernel_basis
 
 
 def homology_mult_matrix(m, i, d, var, bounds=None):
@@ -31,8 +35,8 @@ def homology_mult_matrix(m, i, d, var, bounds=None):
     hs = m.homology(i, d, bounds)
     ht = m.homology(i, d + 1, bounds)
     tgt_index = {lab: k for k, lab in enumerate(ht.labels)}
-    ent = {}
-    for col, rep in enumerate(hs.reps):
+    images = []
+    for rep in hs.reps:
         shifted = {}
         for idx, c in rep.items():
             gi, es, exps = hs.labels[idx]
@@ -40,11 +44,8 @@ def homology_mult_matrix(m, i, d, var, bounds=None):
             new[var] += 1
             row = tgt_index[(gi, es, tuple(new))]
             shifted[row] = shifted.get(row, 0) + c
-        coords = ht.coords(shifted)
-        require(coords is not None, "x_%d moved a cycle off the cycles" % var)
-        for row, c in coords.items():
-            ent[(row, col)] = c
-    return RatMatrix(ht.dim, hs.dim, ent)
+        images.append(shifted)
+    return ht.matrix_of(images, "x_%d moved a cycle off the cycles" % var)
 
 
 def _labels_to_element(m, labels, vec):
@@ -102,32 +103,34 @@ class PresentedModule:
 
     def localized_slice(self, d, bounds):
         """Cokernel of the relation span on the degree-d truncated
-        Laurent slice; returns a LocalizedSlice.  Its labels are kept
-        per bounds, its span per global degree d - sum(bounds)."""
+        Laurent slice, as a HomologyData over the labels (g, monomial)
+        whose representatives are the unit vectors that survive the
+        span.  Labels are kept per bounds, the quotient per global
+        degree d - sum(bounds)."""
         key = (d, bounds)
         hit = self._slice_cache.get(key)
         if hit is not None:
             return hit
         nvars = self.dga.base.nvars
-        labels = []
-        for g, ag in enumerate(self.gen_degrees):
-            for mm in laurent_monomials(nvars, d - ag, bounds):
-                labels.append((g, mm))
-        index = {lab: k for k, lab in enumerate(labels)}
+        labels = [(g, mm) for g, ag in enumerate(self.gen_degrees)
+                  for mm in laurent_monomials(nvars, d - ag, bounds)]
         depth = d - sum(bounds)
-        span = self._span_cache.get(depth)
-        if span is None:
-            span = self._span_cache[depth] = self._relation_span(d, bounds,
-                                                                 index)
-        out = LocalizedSlice(labels, index, *span)
-        self._slice_cache[key] = out
-        return out
+        hit = self._span_cache.get(depth)
+        if hit is None:
+            hit = self._span_cache[depth] = HomologyData.quotient(
+                labels, ({k: 1} for k in range(len(labels))),
+                self._relation_vectors(d, bounds, labels))
+        else:
+            hit = copy(hit)
+            hit.labels = labels
+        self._slice_cache[key] = hit
+        return hit
 
-    def _relation_span(self, d, bounds, index):
-        """(cokernel basis positions, tracker) of the relation span on
-        the degree-d slice at `bounds` with label positions `index`."""
+    def _relation_vectors(self, d, bounds, labels):
+        """The relation span on the degree-d slice at `bounds`: each
+        relation row times each Laurent monomial, over `labels`."""
         nvars = self.dga.base.nvars
-        te = TrackedEchelon()
+        index = {lab: k for k, lab in enumerate(labels)}
         for row in self.all_relations():
             bdeg = self.relation_degree(row)
             if bdeg is None:
@@ -136,36 +139,9 @@ class PresentedModule:
                 vec = {}
                 for g, p in enumerate(row):
                     for (exps, es), c in p.terms.items():
-                        lab = (g, tuple(a + b for a, b in zip(exps, mm)))
-                        k = index[lab]
+                        k = index[(g, tuple(map(add, exps, mm)))]
                         vec[k] = vec.get(k, 0) + c
-                if vec:
-                    te.add(vec)
-        reps = []
-        for k in range(len(index)):
-            if te.add({k: 1}, tag=len(reps)):
-                reps.append(k)
-        return reps, te
-
-
-class LocalizedSlice:
-    """Chosen basis of a localized cokernel slice with coordinates."""
-
-    def __init__(self, labels, index, rep_labels, tracker):
-        self.labels = labels
-        self.index = index
-        self.rep_labels = rep_labels   # label positions chosen as basis
-        self.dim = len(rep_labels)
-        self._tracker = tracker
-
-    def coords_of_label_vector(self, vec):
-        """Coordinates of a vector given over the full label basis."""
-        out = self._tracker.coordinates(vec)
-        require(out is not None, "vector outside the localized slice")
-        return out
-
-    def coords_of(self, g, exps, coeff=1):
-        return self.coords_of_label_vector({self.index[(g, exps)]: coeff})
+                yield vec
 
 
 def extract_presentation(m, i, window, bounds=None):
@@ -232,7 +208,7 @@ def extract_presentation(m, i, window, bounds=None):
         col_index = {c: k for k, c in enumerate(cols)}
         mat = RatMatrix.from_columns([phi[c] for c in cols], hd.dim)
         kern = kernel_basis(mat)
-        ker_span = Echelon()
+        ker_span = TrackedEchelon()
         for kv in kernel_prev:
             for t in range(nvars):
                 shifted = {}
@@ -365,7 +341,7 @@ def ideal_slice_echelon(dga, polys, d, include_sections=True):
     gens = list(polys)
     if include_sections:
         gens += list(dga.sections)
-    e = Echelon()
+    e = TrackedEchelon()
     for p in gens:
         if p.is_zero():
             continue
@@ -409,7 +385,7 @@ def class_dies_under_variable(dga, poly, var, hi):
         vec = {}
         for (exps, es), c in current.terms.items():
             vec[vec_basis[exps]] = c
-        if e.contains(vec):
+        if e.coordinates(vec) is not None:
             return k
         current = current * dga.variable(var)
         k += 1

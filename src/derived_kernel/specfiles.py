@@ -41,6 +41,23 @@ def _split_kv(line, lineno):
     return key.strip(), value.strip()
 
 
+def _int(text, lineno, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError("line %d: %s must be an integer" % (lineno, what))
+
+
+def _arrow(value, lineno, usage):
+    """(FROM, TO, POLY) of a 'FROM -> TO : POLY' value; `usage` names
+    the statement and its form for the error message."""
+    arrow, colon, poly_text = value.partition(":")
+    src, to, dst = arrow.partition("->")
+    if not (colon and to):
+        raise InputError("line %d: %s" % (lineno, usage))
+    return src.strip(), dst.strip(), poly_text.strip()
+
+
 def parse_scheme(text):
     """KoszulDga from a scheme description file."""
     ambient = None
@@ -50,11 +67,7 @@ def parse_scheme(text):
     for lineno, line in _lines(text):
         key, value = _split_kv(line, lineno)
         if key == "ambient":
-            try:
-                ambient = int(value)
-            except ValueError:
-                raise InputError("line %d: ambient must be an integer"
-                                 % lineno)
+            ambient = _int(value, lineno, "ambient")
             if ambient < 0:
                 raise InputError("line %d: ambient must be >= 0" % lineno)
         elif key == "description":
@@ -64,11 +77,7 @@ def parse_scheme(text):
                 raise InputError("line %d: section needs 'POLY : DEGREE'"
                                  % lineno)
             poly_text, deg_text = value.rsplit(":", 1)
-            try:
-                deg = int(deg_text)
-            except ValueError:
-                raise InputError("line %d: section degree must be an "
-                                 "integer" % lineno)
+            deg = _int(deg_text, lineno, "section degree")
             pending.append((lineno, poly_text.strip(), deg))
         else:
             raise InputError("line %d: unknown key %r" % (lineno, key))
@@ -104,11 +113,7 @@ def _parse_module_lines(entries, dga, label=""):
                     raise InputError("line %d: expected h=... / a=..."
                                      % lineno)
                 k, v = part.split("=", 1)
-                try:
-                    fields[k.strip()] = int(v)
-                except ValueError:
-                    raise InputError("line %d: degree must be an integer"
-                                     % lineno)
+                fields[k.strip()] = _int(v, lineno, "degree")
             if set(fields) != {"h", "a"}:
                 raise InputError("line %d: generator needs both h and a"
                                  % lineno)
@@ -118,16 +123,12 @@ def _parse_module_lines(entries, dga, label=""):
             names[name] = len(gens)
             gens.append((fields["h"], fields["a"]))
         elif key == "d":
-            if "->" not in value or ":" not in value:
-                raise InputError("line %d: differential needs "
-                                 "'FROM -> TO : POLY'" % lineno)
-            arrow, poly_text = value.split(":", 1)
-            src, dst = [p.strip() for p in arrow.split("->", 1)]
-            diffs.append((lineno, src, dst, poly_text.strip()))
+            diffs.append((lineno,) + _arrow(
+                value, lineno, "differential needs 'FROM -> TO : POLY'"))
         elif key == "shift":
-            shift = int(value)
+            shift = _int(value, lineno, "shift")
         elif key == "twist":
-            twist = int(value)
+            twist = _int(value, lineno, "twist")
         else:
             raise InputError("line %d: unknown key %r in module %s"
                              % (lineno, key, label or "file"))
@@ -221,18 +222,15 @@ def parse_triple(text, dga):
             if key != "entry":
                 raise InputError("line %d: unknown key %r in %s"
                                  % (lineno, key, label))
-            if "->" not in value or ":" not in value:
-                raise InputError("line %d: entry needs 'SRC -> DST : POLY'"
-                                 % lineno)
-            arrow, poly_text = value.split(":", 1)
-            s, t = [p.strip() for p in arrow.split("->", 1)]
+            s, t, poly_text = _arrow(value, lineno,
+                                     "entry needs 'SRC -> DST : POLY'")
             if s not in sidx or t not in tidx:
                 raise InputError("line %d: unknown generator in entry"
                                  % lineno)
             j, i = sidx[s], tidx[t]
             hj, aj = src.gens[j]
             hi, ai = tgt.gens[i]
-            poly = parse_polynomial(poly_text.strip(), dga,
+            poly = parse_polynomial(poly_text, dga,
                                     require_hom=hj - hi,
                                     require_internal=aj - ai)
             entries[(i, j)] = poly

@@ -13,20 +13,16 @@ the subspaces A_r^p = {y in F^p : D y in F^(p+r)} and
 
     E_r^(p,q) = A_r^p / (A_(r-1)^(p+1) + D A_(r-1)^(p-r+1)),
 
-everything by exact linear algebra on explicit bases.
+everything by exact linear algebra on explicit bases.  A page cell is a
+`dgmodules.HomologyData` quotient with representatives in total-complex
+coordinates, and d_r is written over the cells' representatives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .exact_linear import (
-    Echelon,
-    RatMatrix,
-    TrackedEchelon,
-    kernel_basis,
-    rank,
-)
+from .exact_linear import RatMatrix, kernel_basis, rank
 from .dgmodules import HomologyData
 from .errors import require
 
@@ -147,16 +143,9 @@ class TotalComplex:
 
 
 @dataclass
-class PageCell:
-    dim: int
-    reps: list = field(default_factory=list)   # vectors in total coords
-    tracker: object = None                      # quotient coordinates
-
-
-@dataclass
 class SpectralSequencePage:
     r: int
-    cells: dict            # (p, q) -> PageCell
+    cells: dict            # (p, q) -> HomologyData, reps in total coords
     differentials: dict    # (p, q) -> ((p+r, q+r-1), rank, RatMatrix)
 
     def dims(self):
@@ -198,25 +187,17 @@ class SpectralSequence:
         return out
 
     def _cell(self, p, q, r):
-        """PageCell at (p, q) for page r; q = h, total degree m = q - p."""
+        """Page-r cell at (p, q) as the quotient A_r^p / (A_(r-1)^(p+1) +
+        D A_(r-1)^(p-r+1)); q = h, total degree m = q - p."""
         m = q - p
         a_r = self._subspace_a(p, m, r)
         if not a_r:
-            return PageCell(0)
+            return HomologyData.quotient(None, (), ())
         sub = self._subspace_a(p + 1, m, r - 1)
         d = self.total.matrix(m + 1)
-        for y in self._subspace_a(p - r + 1, m + 1, r - 1):
-            img = d.apply(y)
-            if img:
-                sub.append(img)
-        te = TrackedEchelon()
-        for v in sub:
-            te.add(v)
-        reps = []
-        for v in a_r:
-            if te.add(v, tag=len(reps)):
-                reps.append(v)
-        return PageCell(len(reps), reps, te)
+        sub.extend(d.apply(y) for y in self._subspace_a(p - r + 1, m + 1,
+                                                        r - 1))
+        return HomologyData.quotient(None, a_r, sub)
 
     def _page(self, r):
         p_lo, p_hi = self.p_range
@@ -230,17 +211,11 @@ class SpectralSequence:
         diffs = {}
         for (p, q), cell in cells.items():
             tgt = cells.get((p + r, q + r - 1))
-            if tgt is None or not cell.dim:
+            if tgt is None:
                 continue
             d = self.total.matrix(q - p)
-            ent = {}
-            for col, y in enumerate(cell.reps):
-                img = d.apply(y)
-                coords = tgt.tracker.coordinates(img) if img else {}
-                require(coords is not None, "d_r left the target page cell")
-                for row, x in coords.items():
-                    ent[(row, col)] = x
-            mat = RatMatrix(tgt.dim, cell.dim, ent)
+            mat = tgt.matrix_of([d.apply(y) for y in cell.reps],
+                                "d_r left the target page cell")
             rk = rank(mat)
             if rk:
                 diffs[(p, q)] = ((p + r, q + r - 1), rk, mat)
@@ -260,7 +235,7 @@ class SpectralSequence:
                 if hit and hit[0] == (p, q):
                     in_rank = hit[1]
                 want = cell.dim - out_rank - in_rank
-                got = nxt.cells.get((p, q), PageCell(0)).dim
+                got = nxt.cells[(p, q)].dim if (p, q) in nxt.cells else 0
                 require(got == want, "page %d -> %d mismatch at %r"
                         % (r, r + 1, (p, q)))
         # filtration: E_infinity dimensions sum to totalization homology
@@ -292,11 +267,5 @@ class SpectralSequence:
         cell = e2.cells.get((0, i))
         if cell is None or cell.dim == 0:
             return 0, hom.dim, 0
-        e = Echelon()
-        rk = 0
-        for rep in hom.reps:
-            coords = cell.tracker.coordinates(rep)
-            require(coords is not None, "cycle escaped the page-2 cell")
-            if coords and e.add(coords):
-                rk += 1
+        rk = rank(cell.matrix_of(hom.reps, "cycle escaped the page-2 cell"))
         return rk, hom.dim, cell.dim

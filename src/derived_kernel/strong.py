@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from .cech import LaurentTruncation
 from .charts import (
     ChartHomologyPair,
-    PresentedSlicePair,
     SurvivingMap,
     _stable_pair,
+    homology_pair,
     map_homology_pair,
     map_is_stable_quasi_iso,
     module_depth_hint,
@@ -85,13 +85,14 @@ def _compare_slice(m, lhs_pres, pairs, base_pi, pi0_m, i, d, chart, trunc):
         extra = max(extra, presented_depth_hint(lhs_pres, d))
 
     def defects(T):
-        rhs = ChartHomologyPair(m, i, d, (chart,), T + extra)
+        rhs = homology_pair(m, i, d, (chart,), T + extra)
         if lhs_pres is None:
             return False, rhs.surviving_dim() > 0
-        lhs = PresentedSlicePair(lhs_pres, d, (chart,), T + extra)
-        m0 = _comparison_matrix(m, lhs.sl0, rhs.h0, pairs, base_pi, pi0_m,
+        lhs = ChartHomologyPair(lambda b: lhs_pres.localized_slice(d, b),
+                                m.dga, (chart,), T + extra)
+        m0 = _comparison_matrix(m, lhs.h0, rhs.h0, pairs, base_pi, pi0_m,
                                 i, d, lhs.b0)
-        m1 = _comparison_matrix(m, lhs.sl1, rhs.h1, pairs, base_pi, pi0_m,
+        m1 = _comparison_matrix(m, lhs.h1, rhs.h1, pairs, base_pi, pi0_m,
                                 i, d, lhs.b1)
         sm = SurvivingMap(lhs, rhs, m0, m1)
         return sm.surviving_kernel_dim() > 0, sm.surviving_cokernel_dim() > 0
@@ -104,21 +105,19 @@ def _compare_slice(m, lhs_pres, pairs, base_pi, pi0_m, i, d, chart, trunc):
 
 def _comparison_matrix(m, lhs_slice, rhs_hom, pairs, base_pi, pi0_m, i, d,
                        bounds):
-    """Matrix of the strongness comparison on one truncated slice."""
-    ent = {}
-    for col, k in enumerate(lhs_slice.rep_labels):
+    """Matrix of the strongness comparison on one truncated slice; the
+    representatives of `lhs_slice` are unit vectors."""
+    images = []
+    for rep in lhs_slice.reps:
+        (k,) = rep
         g, exps = lhs_slice.labels[k]
         pi, qj = pairs[g]
         zp = base_pi.gen_cycles[pi][0]          # cycle in the dga
         zq = pi0_m.gen_cycles[qj]               # module element
         mono = m.dga.element({(exps, ()): 1})
         elem = {gi: mono * zp * c for gi, c in zq.items()}
-        vec = _element_to_slice(m, elem, i, d, bounds)
-        coords = rhs_hom.coords(vec)
-        require(coords is not None, "comparison image is not a cycle")
-        for row, x in coords.items():
-            ent[(row, col)] = x
-    return RatMatrix(rhs_hom.dim, len(lhs_slice.rep_labels), ent)
+        images.append(_element_to_slice(m, elem, i, d, bounds))
+    return rhs_hom.matrix_of(images, "comparison image is not a cycle")
 
 
 def _element_to_slice(m, elem, h, d, bounds):

@@ -21,7 +21,11 @@ from .cech import (
 from .charts import module_depth_hint
 from .dgmodules import DegreeWindow, DgModule, ModuleMap, free_module
 from .errors import PreconditionError, SearchExhausted
-from .presentations import PresentedModule, extract_presentation
+from .presentations import (
+    PresentedModule,
+    _labels_to_element,
+    extract_presentation,
+)
 from .strong import classify_map, is_strong
 
 
@@ -181,12 +185,8 @@ def is_globally_generated(m: DgModule,
     source = free_module(m.dga, [0] * nsec)
     entries = {}
     for col, rep_vec in enumerate(hom.reps):
-        elem = {}
-        for k, c in rep_vec.items():
-            gi, es, exps = hom.labels[k]
-            elem.setdefault(gi, {})[(exps, es)] = c
-        for gi, terms in elem.items():
-            entries[(gi, col)] = m.dga.element(terms)
+        for gi, el in _labels_to_element(m, hom.labels, rep_vec).items():
+            entries[(gi, col)] = el
     witness = ModuleMap(source, m, entries)
     verdict = classify_map(witness, window, trunc, check_strong=False)
     if verdict.epi:

@@ -11,14 +11,16 @@ direct construction of a Koszul module, before it became the Koszul
 tensor of the structure sheaf.  `ref_homology` is the eager homology
 of a slice that the kernel computed before it went rank-first: cycle
 basis, boundary tracker and representatives for every slice, zero or
-not.  The property tests require the kernel to reproduce them exactly,
-key order included.
+not.  `RefLocalizedSlice` is the former localized cokernel slice of a
+presentation, before it became a `HomologyData` whose representatives
+are unit vectors.  The property tests require the kernel to reproduce
+them exactly, key order included.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from derived_kernel.dga import as_element
+from derived_kernel.dga import as_element, laurent_monomials
 from derived_kernel.dgmodules import DgModule, HomologyData, global_bounds
 from derived_kernel.exact_linear import TrackedEchelon, kernel_basis
 
@@ -195,6 +197,43 @@ def ref_homology(labels, out_map, in_map):
         if te.add(z, tag=len(reps)):
             reps.append(z)
     return HomologyData(labels, reps, te, out_map)
+
+
+class RefLocalizedSlice:
+    """The kernel's former localized cokernel slice of a presentation:
+    labels (g, monomial) with their index, the label positions chosen as
+    basis, and coordinates of a label over them."""
+
+    def __init__(self, pres, d, bounds):
+        nvars = pres.dga.base.nvars
+        self.labels = [(g, mm) for g, ag in enumerate(pres.gen_degrees)
+                       for mm in laurent_monomials(nvars, d - ag, bounds)]
+        self.index = {lab: k for k, lab in enumerate(self.labels)}
+        te = TrackedEchelon()
+        for row in pres.all_relations():
+            bdeg = pres.relation_degree(row)
+            if bdeg is None:
+                continue
+            for mm in laurent_monomials(nvars, d - bdeg, bounds):
+                vec = {}
+                for g, p in enumerate(row):
+                    for (exps, es), c in p.terms.items():
+                        lab = (g, tuple(a + b for a, b in zip(exps, mm)))
+                        k = self.index[lab]
+                        vec[k] = vec.get(k, 0) + c
+                if vec:
+                    te.add(vec)
+        self.rep_labels = []
+        for k in range(len(self.index)):
+            if te.add({k: 1}, tag=len(self.rep_labels)):
+                self.rep_labels.append(k)
+        self.dim = len(self.rep_labels)
+        self._tracker = te
+
+    def coords_of(self, g, exps, coeff=1):
+        out = self._tracker.coordinates({self.index[(g, exps)]: coeff})
+        assert out is not None, "vector outside the localized slice"
+        return out
 
 
 def _fill(src, tgt, image):

@@ -390,3 +390,36 @@ def test_module_without_generators_exits_2(files, capsys, run_optimized):
         assert captured.err.strip() == message
     assert run_optimized(EMPTY_MODULE_RUNS, json.dumps(argvs)) \
         == ["2"] * len(argvs)
+
+
+BAD_VALUE_LINES = [
+    ("twist = one", "line 2: twist must be an integer"),
+    ("shift = x", "line 2: shift must be an integer"),
+    ("d = g1 : -> g0 : x0",
+     "line 2: differential needs 'FROM -> TO : POLY'"),
+]
+
+
+def test_malformed_module_values_exit_2(files, capsys, run_optimized):
+    # each statement used to escape as a ValueError traceback (exit 1)
+    out = str(files["dir"] / "r.json")
+    cases = []
+    for k, (line, message) in enumerate(BAD_VALUE_LINES):
+        mod = files["dir"] / ("bad%d.mod" % k)
+        mod.write_text("generator = g0 : h=0 : a=0\n%s\n" % line)
+        cases.append((["sections", "--module", str(mod)],
+                      "input error: " + message))
+        triple = files["dir"] / ("bad%d.triple" % k)
+        triple.write_text(EULER_TRIPLE.replace(
+            "[module F]\n", "[module F]\n%s\n" % line))
+        cases.append((["exact-check", "--module", str(triple)],
+                      "input error: " + message))
+    argvs = [argv + ["--scheme", files["p1"], "--out", out]
+             for argv, _ in cases]
+    for argv, (_, message) in zip(argvs, cases):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == message
+    assert run_optimized(EMPTY_MODULE_RUNS, json.dumps(argvs)) \
+        == ["2"] * len(argvs)

@@ -34,7 +34,7 @@ def test_twist_flatness_slicewise():
 
 
 def test_iso_implies_equal_slice_tables():
-    from derived_kernel.charts import ChartHomologyPair
+    from derived_kernel.charts import homology_pair
     from derived_kernel.dgmodules import identity_map
 
     p1 = corpus.p1()
@@ -53,10 +53,10 @@ def test_iso_implies_equal_slice_tables():
             for d in w.internal_range():
                 extra = max(module_depth_hint(cmp_map.source, d),
                             module_depth_hint(cmp_map.target, d))
-                a = ChartHomologyPair(cmp_map.source, i, d, (chart,),
-                                      2 + extra).surviving_dim()
-                b = ChartHomologyPair(cmp_map.target, i, d, (chart,),
-                                      2 + extra).surviving_dim()
+                a = homology_pair(cmp_map.source, i, d, (chart,),
+                                  2 + extra).surviving_dim()
+                b = homology_pair(cmp_map.target, i, d, (chart,),
+                                  2 + extra).surviving_dim()
                 assert a == b, (chart, i, d)
     # literal module isomorphisms agree on the global tables too
     m = free_module(p1, [1, -1])

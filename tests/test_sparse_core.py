@@ -20,7 +20,6 @@ from derived_kernel.dgmodules import (
     tensor_with_koszul,
 )
 from derived_kernel.exact_linear import (
-    Echelon,
     RatMatrix,
     TrackedEchelon,
     kernel_basis,
@@ -255,16 +254,19 @@ def test_map_stencils_match_apply():
 def test_echelons_match_reference(data):
     rows, cols, ent, vec = data
     m = RatMatrix(rows, cols, ent)
-    e, te, ref = Echelon(), TrackedEchelon(), RefEchelon()
+    # `e` takes untagged inserts only: its rows carry empty combinations
+    e, te, ref = TrackedEchelon(), TrackedEchelon(), RefEchelon()
     for i, row in enumerate(m.row_dicts()):
         foreign = {k: Fraction(x) for k, x in row.items()}  # not canonical
         e.add(foreign)
         te.add(foreign, tag=i)
         ref.add(row, tag=i)
     assert list(e.pivots) == list(te.pivots) == list(ref.pivots)
+    assert e.dim == te.dim == len(ref.pivots)
     for p, (ref_row, ref_combo) in ref.pivots.items():
         row, combo = te.pivots[p]
-        assert canonical_items([e.pivots[p], row, combo]) == \
+        assert e.pivots[p][1] == {}
+        assert canonical_items([e.pivots[p][0], row, combo]) == \
             items([ref_row, ref_row, ref_combo])
     target = {k: Fraction(x) for k, x in vec.items() if x}
     got, want = te.coordinates(target), ref.coordinates(target)
@@ -279,10 +281,10 @@ def test_pivot_inverses_are_exact_fractions_not_floats():
     x = solve(m, {0: 1})
     assert x == {0: Fraction(1, 2)}
     assert type(x[0]) is Fraction
-    e = Echelon()
+    e = TrackedEchelon()
     e.add({0: 3, 1: 1})
-    assert e.pivots == {0: {0: 1, 1: Fraction(1, 3)}}
-    assert [type(v) for v in e.pivots[0].values()] == [int, Fraction]
+    assert e.pivots == {0: ({0: 1, 1: Fraction(1, 3)}, {})}
+    assert [type(v) for v in e.pivots[0][0].values()] == [int, Fraction]
     basis = kernel_basis(RatMatrix(1, 2, {(0, 0): 3, (0, 1): 1}))
     assert canonical_items(basis) == [[(0, 1), (1, -3)]]
 

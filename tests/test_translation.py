@@ -13,7 +13,7 @@ labels of its own bounds.
 
 from itertools import combinations
 
-from derived_kernel.charts import ChartHomologyPair, PresentedSlicePair
+from derived_kernel.charts import ChartHomologyPair, homology_pair
 from derived_kernel.dga import laurent_monomials
 from derived_kernel.dgmodules import DegreeWindow, DgModule, chart_bounds
 from derived_kernel.exact_linear import rank
@@ -24,6 +24,7 @@ from derived_kernel.presentations import (
 )
 
 import corpus
+from reference import RefLocalizedSlice
 
 TWISTS = range(-2, 3)
 DEPTHS = range(3)
@@ -90,10 +91,10 @@ def test_module_slices_are_translation_invariant():
                                                          bounds), name
                             # the pair also reads depth L + 1; a module of
                             # its own keeps that from fresh's other keys
-                            assert ChartHomologyPair(
+                            assert homology_pair(
                                 m, h, d, charts, L).iota == \
-                                ChartHomologyPair(_cold(root, n), h, d,
-                                                  charts, L).iota, name
+                                homology_pair(_cold(root, n), h, d,
+                                              charts, L).iota, name
         # each cached rank is that of the matrix cached under its key
         for key, r in root._rank_cache.items():
             assert r == rank(root._matrix_cache[key]), (name, key)
@@ -108,6 +109,11 @@ def _presentations():
         for i in range(h_lo, h_hi + 1):
             window = DegreeWindow(-1, 2, h_lo, h_hi)
             yield "%s:pi_%d" % (name, i), extract_presentation(m, i, window)
+
+
+def _slice_pair(pres, d, charts, L):
+    return ChartHomologyPair(lambda b: pres.localized_slice(d, b), pres.dga,
+                             charts, L)
 
 
 def test_localized_slices_are_translation_invariant():
@@ -131,11 +137,32 @@ def test_localized_slices_are_translation_invariant():
                               for mm in laurent_monomials(nvars, d - ag,
                                                           bounds)]
                     assert got.labels == want.labels == labels, name
-                    assert got.index == want.index
-                    assert (got.rep_labels, got.dim) \
-                        == (want.rep_labels, want.dim)
-                    for g, mm in labels:
-                        assert got.coords_of(g, mm) == want.coords_of(g, mm)
-                    assert PresentedSlicePair(pres, d, charts, L).iota == \
-                        PresentedSlicePair(fresh(), d, charts, L).iota, name
+                    assert (got.reps, got.dim) == (want.reps, want.dim)
+                    for k in range(len(labels)):
+                        assert got.coords({k: 1}) == want.coords({k: 1})
+                    assert _slice_pair(pres, d, charts, L).iota == \
+                        _slice_pair(fresh(), d, charts, L).iota, name
     assert served > 900
+
+
+def test_localized_slices_match_the_former_cokernel():
+    # the representatives are the unit vectors at the label positions
+    # the former relation-span elimination chose, with the same
+    # coordinates for every label
+    checked = 0
+    for name, pres in _presentations():
+        dga = pres.dga
+        for charts in [()] + _chart_sets(dga.base.nvars):
+            for L in DEPTHS:
+                bounds = chart_bounds(dga, charts, L)
+                for d in DEGREES:
+                    got = pres.localized_slice(d, bounds)
+                    want = RefLocalizedSlice(pres, d, bounds)
+                    assert got.labels == want.labels, name
+                    assert got.dim == want.dim, name
+                    assert [list(r.items()) for r in got.reps] == \
+                        [[(k, 1)] for k in want.rep_labels], name
+                    for k, (g, mm) in enumerate(want.labels):
+                        assert got.coords({k: 1}) == want.coords_of(g, mm)
+                    checked += got.dim
+    assert checked > 1000
