@@ -96,18 +96,20 @@ def _span_dims(base_cols, extra_cols):
 class SurvivingMap:
     """A map between chart homologies at two truncation levels.
 
-    m0: matrix at level L over (src.h0, tgt.h0); m1 at level L+1.
-    Surviving kernel and cokernel dimensions are the honest finite
+    m0: matrix at level L over (src.h0, tgt.h0); m1 at level L+1;
+    `kernel0()` gives the kernel basis of m0 (by default it eliminates
+    m0).  Surviving kernel and cokernel dimensions are the honest finite
     approximations of the localized kernel and cokernel."""
 
-    def __init__(self, src_pair, tgt_pair, m0, m1):
+    def __init__(self, src_pair, tgt_pair, m0, m1, kernel0=None):
         self.src = src_pair
         self.tgt = tgt_pair
         self.m0 = m0
         self.m1 = m1
+        self.kernel0 = kernel0 or (lambda: kernel_basis(m0))
 
     def surviving_kernel_dim(self):
-        kern = kernel_basis(self.m0)
+        kern = self.kernel0()
         return _span_dims([self.src.iota.apply(v) for v in kern], ())[0]
 
     def surviving_cokernel_dim(self):
@@ -119,14 +121,16 @@ class SurvivingMap:
 
 def map_homology_pair(f: ModuleMap, i, d, charts, L, extra,
                       src_pair=None, tgt_pair=None):
-    """Build the SurvivingMap of f at (i, d) on a chart set."""
+    """Build the SurvivingMap of f at (i, d) on a chart set; its matrices
+    and the kernel of m0 come from f's caches."""
     if src_pair is None:
         src_pair = homology_pair(f.source, i, d, charts, L + extra)
     if tgt_pair is None:
         tgt_pair = homology_pair(f.target, i, d, charts, L + extra)
-    return SurvivingMap(src_pair, tgt_pair,
-                        f.homology_matrix(i, d, src_pair.b0),
-                        f.homology_matrix(i, d, src_pair.b1))
+    b0 = src_pair.b0
+    return SurvivingMap(src_pair, tgt_pair, f.homology_matrix(i, d, b0),
+                        f.homology_matrix(i, d, src_pair.b1),
+                        lambda: f.homology_kernel(i, d, b0))
 
 
 def triple_defects(f: ModuleMap, g: ModuleMap, i, d, chart, L, extra):
@@ -141,7 +145,7 @@ def triple_defects(f: ModuleMap, g: ModuleMap, i, d, chart, L, extra):
     inj = a.surviving_kernel_dim() > 0
     surj = b.surviving_cokernel_dim() > 0
     # middle: ker(b0)/im(a0) classes surviving into ker(b1)/im(a1)
-    z0 = kernel_basis(b.m0)
+    z0 = b.kernel0()
     moved = [gp.iota.apply(v) for v in z0]
     im1 = [a.m1.column(c) for c in range(a.m1.cols)]
     d0, d1 = _span_dims(im1, moved)

@@ -10,6 +10,7 @@ byte-identical across runs with identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -132,11 +133,11 @@ def _cmd_spectral(args):
     for page in ss.pages:
         pages.append({
             "r": page.r,
-            "cells": [{"p": p, "q": q, "dim": c.dim}
-                      for (p, q), c in sorted(page.cells.items())],
+            "cells": [{"p": p, "q": q, "dim": n}
+                      for (p, q), n in sorted(page.cells.items())],
             "differentials": [
                 {"from": [p, q], "to": list(tgt), "rank": rk}
-                for (p, q), (tgt, rk, _) in sorted(page.differentials.items())],
+                for (p, q), (tgt, rk) in sorted(page.differentials.items())],
         })
     degrees = ss.total.degrees() or [0]
     stable = args.laurent_T >= module_depth_hint(m, args.twist + dga.base.n)
@@ -275,7 +276,10 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every call of `main` reuses it."""
     parser = argparse.ArgumentParser(
         prog="derived-kernel",
         description="Exact computations on derived zero loci in "
@@ -311,8 +315,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload = _COMMANDS[args.command](args)
     except InputError as exc:

@@ -296,8 +296,8 @@ def _fill_slice_matrix(src, tgt, stencil):
 
 class HomologyData:
     """A slice quotient with chosen representatives: the homology of a
-    module or total-complex slice, a localized cokernel slice of a
-    presentation, or a spectral page cell.
+    module or total-complex slice, or a localized cokernel slice of a
+    presentation.
 
     Rank first: for homology, dim = n - rank(out_map) - rank(in_map)
     comes from the two ranks alone, and only a slice with dim > 0 builds
@@ -393,6 +393,7 @@ class ModuleMap:
         self._columns = _by_column(self.entries)
         self._stencils = {}
         self._homology_cache = {}
+        self._kernel_cache = {}  # same keys, kernel of the cached matrix
         if check:
             self._validate()
 
@@ -453,6 +454,15 @@ class ModuleMap:
         hit = self._homology_cache[key] = ht.matrix_of(
             [sl.apply(rep) for rep in hs.reps], "chain map broke cycles")
         return hit
+
+    def homology_kernel(self, h, d, bounds=None):
+        """Kernel basis of `homology_matrix(h, d, bounds)`, eliminated
+        once per global key as the matrix is built once."""
+        key = (h, d - sum(bounds or ()))
+        if key not in self._kernel_cache:
+            self._kernel_cache[key] = kernel_basis(
+                self.homology_matrix(h, d, bounds))
+        return self._kernel_cache[key]
 
     def compose(self, other):
         """self after other."""

@@ -7,22 +7,35 @@ raw horizontal and vertical differentials commute; the totalization
 uses D = vertical + (-1)^h horizontal on total degree m = h - p, so
 the sign-twisted pair anticommutes and D*D = 0.
 
-The spectral sequence filters by columns.  With q = h, the page-r
-differential runs d_r: (p, q) -> (p+r, q+r-1), pages are computed from
-the subspaces A_r^p = {y in F^p : D y in F^(p+r)} and
+The spectral sequence filters by columns: F^p is spanned by the cells
+of column >= p, and with q = h the page-r differential runs
+d_r: (p, q) -> (p+r, q+r-1).  Its pages are read off the persistence
+pairs of one exact column reduction R = D V per total degree m of
+D: T_m -> T_(m-1) (Edelsbrunner and Harer, *Computational Topology*,
+2010, ch. VII; Basu and Parida, "Spectral sequences, exact couples and
+persistent homology of filtrations", Expo. Math. 35, 2017).  Basis
+vectors go in by decreasing p, with a fixed order inside a cell; a
+column adds only earlier columns, so V is unitriangular, and the pivot
+of a reduced column is its row of least p.  Each pivot pairs a source
+at (p, q) with a target at (p + r, q + r - 1), and
 
-    E_r^(p,q) = A_r^p / (A_(r-1)^(p+1) + D A_(r-1)^(p-r+1)),
+- d_r out of (p, q) has rank the number of its pairs with gap r;
+- dim E_r^(p,q) is the size of the cell less its vectors in pairs of
+  gap < r (gap 0 pairs die on E_1, the vertical homology);
+- E_infinity is what stays unpaired.
 
-everything by exact linear algebra on explicit bases.  A page cell is a
-`dgmodules.HomologyData` quotient with representatives in total-complex
-coordinates, and d_r is written over the cells' representatives.
+Two exact checks certify the reduction, under `python -O` too:
+D V = R for every pivot, and the E_infinity dimensions of each total
+degree add up to the homology of the totalization, which
+`TotalComplex.homology` computes apart, from ranks.  That E_(r+1) is the
+homology of (E_r, d_r) then holds by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_linear import RatMatrix, kernel_basis, rank
+from .exact_linear import RatMatrix, TrackedEchelon
 from .dgmodules import HomologyData
 from .errors import require
 
@@ -80,8 +93,8 @@ class DoubleComplex:
             self._total = TotalComplex(self)
         return self._total
 
-    def spectral_sequence(self, max_page=None):
-        return SpectralSequence(self, max_page=max_page)
+    def spectral_sequence(self):
+        return SpectralSequence(self)
 
 
 class TotalComplex:
@@ -145,107 +158,75 @@ class TotalComplex:
 @dataclass
 class SpectralSequencePage:
     r: int
-    cells: dict            # (p, q) -> HomologyData, reps in total coords
-    differentials: dict    # (p, q) -> ((p+r, q+r-1), rank, RatMatrix)
+    cells: dict            # (p, q) -> dim E_r^(p,q), nonzero cells only
+    differentials: dict    # (p, q) -> ((p+r, q+r-1), rank of d_r), rank > 0
+
+    @classmethod
+    def from_pairs(cls, r, sizes, pairs):
+        """Page r read off the persistence pairs (source cell, target
+        cell, gap): a cell loses the ends of its pairs of gap < r, and
+        each pair of gap r adds one to the rank of d_r out of its
+        source."""
+        cells = dict(sizes)
+        diffs = {}
+        for src, tgt, gap in pairs:
+            if gap < r:
+                cells[src] -= 1
+                cells[tgt] -= 1
+            elif gap == r:
+                rk = diffs[src][1] if src in diffs else 0
+                diffs[src] = (tgt, rk + 1)
+        return cls(r, {pq: n for pq, n in sorted(cells.items()) if n},
+                   dict(sorted(diffs.items())))
 
     def dims(self):
-        return {pq: c.dim for pq, c in sorted(self.cells.items()) if c.dim}
+        return dict(self.cells)
 
 
 class SpectralSequence:
-    """Column-filtration spectral sequence of a bounded double complex."""
+    """Column-filtration spectral sequence of a bounded double complex,
+    read off one filtered reduction per total degree."""
 
-    def __init__(self, dc: DoubleComplex, max_page=None):
-        self.dc = dc
+    def __init__(self, dc: DoubleComplex):
         self.total = dc.totalize()
-        p_lo, p_hi, h_lo, h_hi = dc.span()
-        self.p_range = (p_lo, p_hi)
-        self.q_range = (h_lo, h_hi)
+        p_lo, p_hi = self.p_range = dc.span()[:2]
+        basis = self.total.basis
+        pairs = []
+        for m in self.total.degrees():
+            d = self.total.matrix(m)
+            for row, (vec, combo) in self._reduce(m).items():
+                require(d.apply(combo) == vec,
+                        "filtered reduction: D*V != R in total degree %d" % m)
+                # V is unitriangular: a column's least tag is its own index
+                p, q, _ = basis[m][min(combo)]
+                pt, qt, _ = basis[m - 1][row]
+                pairs.append(((p, q), (pt, qt), pt - p))
         # pages r = 1, 2, ... until no differential can move (r > width)
         width = p_hi - p_lo + 1
-        last = max_page if max_page is not None else width + 1
-        self.pages = []
-        for r in range(1, last + 1):
-            self.pages.append(self._page(r))
-        self.infinity = self._page(width + 2)
-        self._check_convergence()
-
-    def _subspace_a(self, p, m, r):
-        """Basis of A_r^p in T_m coordinates."""
-        cols = self.total.filtration_column(m, p)
-        if not cols:
-            return []
-        d = self.total.matrix(m)
-        rows_keep = [k for k, (pp, hh, i) in
-                     enumerate(self.total.basis.get(m - 1, []))
-                     if p <= pp < p + r]
-        mat = d.submatrix(rows_keep, cols)
-        kern = kernel_basis(mat)
-        out = []
-        for v in kern:
-            out.append({cols[k]: x for k, x in v.items()})
-        return out
-
-    def _cell(self, p, q, r):
-        """Page-r cell at (p, q) as the quotient A_r^p / (A_(r-1)^(p+1) +
-        D A_(r-1)^(p-r+1)); q = h, total degree m = q - p."""
-        m = q - p
-        a_r = self._subspace_a(p, m, r)
-        if not a_r:
-            return HomologyData.quotient(None, (), ())
-        sub = self._subspace_a(p + 1, m, r - 1)
-        d = self.total.matrix(m + 1)
-        sub.extend(d.apply(y) for y in self._subspace_a(p - r + 1, m + 1,
-                                                        r - 1))
-        return HomologyData.quotient(None, a_r, sub)
-
-    def _page(self, r):
-        p_lo, p_hi = self.p_range
-        h_lo, h_hi = self.q_range
-        cells = {}
-        for p in range(p_lo, p_hi + 1):
-            for q in range(h_lo, h_hi + 1):
-                cell = self._cell(p, q, r)
-                if cell.dim:
-                    cells[(p, q)] = cell
-        diffs = {}
-        for (p, q), cell in cells.items():
-            tgt = cells.get((p + r, q + r - 1))
-            if tgt is None:
-                continue
-            d = self.total.matrix(q - p)
-            mat = tgt.matrix_of([d.apply(y) for y in cell.reps],
-                                "d_r left the target page cell")
-            rk = rank(mat)
-            if rk:
-                diffs[(p, q)] = ((p + r, q + r - 1), rk, mat)
-        page = SpectralSequencePage(r, cells, diffs)
-        return page
-
-    def _check_convergence(self):
-        # E_(r+1) must be the homology of (E_r, d_r), cell by cell
-        for k in range(len(self.pages) - 1):
-            cur, nxt = self.pages[k], self.pages[k + 1]
-            r = cur.r
-            for (p, q), cell in cur.cells.items():
-                out_rank = cur.differentials.get((p, q), (None, 0, None))[1]
-                in_rank = 0
-                src = (p - r, q - r + 1)
-                hit = cur.differentials.get(src)
-                if hit and hit[0] == (p, q):
-                    in_rank = hit[1]
-                want = cell.dim - out_rank - in_rank
-                got = nxt.cells[(p, q)].dim if (p, q) in nxt.cells else 0
-                require(got == want, "page %d -> %d mismatch at %r"
-                        % (r, r + 1, (p, q)))
+        sizes = dc.cells
+        self.pages = [SpectralSequencePage.from_pairs(r, sizes, pairs)
+                      for r in range(1, width + 2)]
+        self.infinity = SpectralSequencePage.from_pairs(width + 2, sizes,
+                                                        pairs)
         # filtration: E_infinity dimensions sum to totalization homology
         sums = {}
-        for (p, q), cell in self.infinity.cells.items():
-            m = q - p
-            sums[m] = sums.get(m, 0) + cell.dim
+        for (p, q), n in self.infinity.cells.items():
+            sums[q - p] = sums.get(q - p, 0) + n
         for m in set(self.total.degrees()) | set(sums):
             require(sums.get(m, 0) == self.total.homology(m).dim,
                     "filtration mismatch in total degree %d" % m)
+
+    def _reduce(self, m):
+        """The filtered reduction of D: T_m -> T_(m-1) as {pivot row:
+        (R column, V column)}.  Columns go in tagged, by decreasing
+        index: decreasing p, the order in which F^p grows.  The pivot is
+        the least row index, a row of least p and the last in the order
+        in which T_(m-1) goes in, so each vector ends at most one pair."""
+        d = self.total.matrix(m)
+        te = TrackedEchelon()
+        for c in reversed(range(d.cols)):
+            te.add(d.column(c), tag=c, owned=True)
+        return te.pivots
 
     def stabilized_at(self):
         """First r with E_r = E_infinity dimensionwise."""
@@ -256,16 +237,12 @@ class SpectralSequence:
         return self.infinity.r
 
     def edge_map_rank(self, i):
-        """Rank of the edge H_i(Tot) -> E_2^(0, i) together with both
-        dimensions.  A representative cycle lies in A_2^0 (it is a
-        D-cycle of filtration 0), so its page-2 class is its quotient
-        coordinate; the quotient itself only sees the p = 0 component."""
-        hom = self.total.homology(i)
-        if len(self.pages) < 2:
-            return 0, hom.dim, 0
-        e2 = self.pages[1]
-        cell = e2.cells.get((0, i))
-        if cell is None or cell.dim == 0:
-            return 0, hom.dim, 0
-        rk = rank(cell.matrix_of(hom.reps, "cycle escaped the page-2 cell"))
-        return rk, hom.dim, cell.dim
+        """Rank of the edge map H_i(Tot) -> E_2^(0, i), with the
+        dimensions of both sides.  No differential reaches column 0
+        when it is the lowest, so the image of the edge map is
+        E_infinity^(0, i)."""
+        require(self.p_range[0] >= 0,
+                "edge map needs no column below 0, got %d" % self.p_range[0])
+        return (self.infinity.cells.get((0, i), 0),
+                self.total.homology(i).dim,
+                self.pages[1].cells.get((0, i), 0))

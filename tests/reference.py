@@ -13,8 +13,12 @@ of a slice that the kernel computed before it went rank-first: cycle
 basis, boundary tracker and representatives for every slice, zero or
 not.  `RefLocalizedSlice` is the former localized cokernel slice of a
 presentation, before it became a `HomologyData` whose representatives
-are unit vectors.  The property tests require the kernel to reproduce
-them exactly, key order included.
+are unit vectors.  `RefSpectralSequence` is the former page-by-page
+spectral sequence, before its pages were read off one filtered
+reduction: every cell of every page a `HomologyData` quotient of
+explicit subspaces, and d_r written over the cells' representatives.
+The property tests require the kernel to reproduce them exactly, key
+order included.
 """
 
 from fractions import Fraction
@@ -22,7 +26,7 @@ from itertools import combinations
 
 from derived_kernel.dga import as_element, laurent_monomials
 from derived_kernel.dgmodules import DgModule, HomologyData, global_bounds
-from derived_kernel.exact_linear import TrackedEchelon, kernel_basis
+from derived_kernel.exact_linear import TrackedEchelon, kernel_basis, rank
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -234,6 +238,87 @@ class RefLocalizedSlice:
         out = self._tracker.coordinates({self.index[(g, exps)]: coeff})
         assert out is not None, "vector outside the localized slice"
         return out
+
+
+class RefSpectralSequence:
+    """The former column-filtration spectral sequence: with
+    A_r^p = {y in F^p : D y in F^(p+r)},
+
+        E_r^(p,q) = A_r^p / (A_(r-1)^(p+1) + D A_(r-1)^(p-r+1)),
+
+    each cell a quotient with representatives in total-complex
+    coordinates.  `pages[k]` is E_(k+1) as ({(p, q): dim}, {(p, q):
+    (target, rank of d_r)}), nonzero entries only, for r = 1 .. width
+    + 1, and `infinity` is E_(width+2)."""
+
+    def __init__(self, dc):
+        self.total = dc.totalize()
+        p_lo, p_hi, h_lo, h_hi = dc.span()
+        self.p_range, self.q_range = (p_lo, p_hi), (h_lo, h_hi)
+        width = p_hi - p_lo + 1
+        self._quotients = {}
+        self.pages = [self._page(r) for r in range(1, width + 2)]
+        self.infinity_r = width + 2
+        self.infinity = self._page(width + 2)
+
+    def _subspace_a(self, p, m, r):
+        """Basis of A_r^p in T_m coordinates."""
+        cols = self.total.filtration_column(m, p)
+        if not cols:
+            return []
+        rows_keep = [k for k, (pp, _, _) in
+                     enumerate(self.total.basis.get(m - 1, []))
+                     if p <= pp < p + r]
+        mat = self.total.matrix(m).submatrix(rows_keep, cols)
+        return [{cols[k]: x for k, x in v.items()}
+                for v in kernel_basis(mat)]
+
+    def _cell(self, p, q, r):
+        m = q - p
+        a_r = self._subspace_a(p, m, r)
+        if not a_r:
+            return HomologyData.quotient(None, (), ())
+        sub = self._subspace_a(p + 1, m, r - 1)
+        d = self.total.matrix(m + 1)
+        sub.extend(d.apply(y)
+                   for y in self._subspace_a(p - r + 1, m + 1, r - 1))
+        return HomologyData.quotient(None, a_r, sub)
+
+    def _page(self, r):
+        cells = {}
+        for p in range(self.p_range[0], self.p_range[1] + 1):
+            for q in range(self.q_range[0], self.q_range[1] + 1):
+                cell = self._cell(p, q, r)
+                if cell.dim:
+                    cells[(p, q)] = cell
+        self._quotients[r] = cells
+        diffs = {}
+        for (p, q), cell in cells.items():
+            tgt = cells.get((p + r, q + r - 1))
+            if tgt is None:
+                continue
+            d = self.total.matrix(q - p)
+            rk = rank(tgt.matrix_of([d.apply(y) for y in cell.reps],
+                                    "d_r left the target page cell"))
+            if rk:
+                diffs[(p, q)] = ((p + r, q + r - 1), rk)
+        return {pq: c.dim for pq, c in cells.items()}, diffs
+
+    def stabilized_at(self):
+        for k, (dims, diffs) in enumerate(self.pages):
+            if dims == self.infinity[0] and not diffs:
+                return k + 1
+        return self.infinity_r
+
+    def edge_map_rank(self, i):
+        """Rank of H_i(Tot) -> E_2^(0, i) in page-2 quotient coordinates
+        of the total homology representatives, with both dimensions."""
+        hom = self.total.homology(i)
+        cell = self._quotients[2].get((0, i))
+        if cell is None:
+            return 0, hom.dim, 0
+        rk = rank(cell.matrix_of(hom.reps, "cycle escaped the page-2 cell"))
+        return rk, hom.dim, cell.dim
 
 
 def _fill(src, tgt, image):

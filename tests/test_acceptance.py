@@ -84,8 +84,8 @@ def test_criterion_2_descent_spectral_sequence():
             ss = build_cech_double_complex(m, 0, T2).spectral_sequence()
             # filtration: E_infinity dimensions sum to totalization
             sums = {}
-            for (p, q), cell in ss.infinity.cells.items():
-                sums[q - p] = sums.get(q - p, 0) + cell.dim
+            for (p, q), dim in ss.infinity.cells.items():
+                sums[q - p] = sums.get(q - p, 0) + dim
             for deg in set(ss.total.degrees()) | set(sums):
                 assert sums.get(deg, 0) == ss.total.homology(deg).dim, \
                     (name, deg)

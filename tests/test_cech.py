@@ -156,8 +156,7 @@ def test_e1_is_vertical_homology_and_e2_matches_sheaf_cohomology():
         pres = extract_presentation(o, q, w)
         coh = sheaf_cohomology(pres, 0, LaurentTruncation(3))
         for p in (0, 1):
-            got = ss.pages[1].cells.get((p, q))
-            assert (got.dim if got else 0) == coh.table[p], (p, q)
+            assert ss.pages[1].cells.get((p, q), 0) == coh.table[p], (p, q)
 
 
 def test_euler_characteristic_consistency():
@@ -168,8 +167,8 @@ def test_euler_characteristic_consistency():
     total_chi = sum((-1) ** (m_ % 2) * d
                     for m_, d in ss.total.homology_table().items())
     e2_chi = 0
-    for (p, q), cell in ss.pages[1].cells.items():
-        e2_chi += (-1) ** ((q - p) % 2) * cell.dim
+    for (p, q), dim in ss.pages[1].cells.items():
+        e2_chi += (-1) ** ((q - p) % 2) * dim
     assert total_chi == e2_chi
 
 
@@ -189,34 +188,50 @@ SPECTRAL_CHECK_UNDER_O = """
 import sys
 from derived_kernel import cli, spectral
 print("debug:", __debug__)
-page = spectral.SpectralSequence._page
+reduce = spectral.SpectralSequence._reduce
 
 
-def corrupt(self, r):
-    out = page(self, r)
-    if r == 2:
-        out.cells.clear()
-    return out
+def corrupt(self, m):
+    pivots = reduce(self, m)
+    if pivots and sys.argv[2] == "drop":
+        del pivots[min(pivots)]
+    elif pivots and sys.argv[2] == "row":
+        vec, combo = pivots[min(pivots)]
+        vec[max(vec) + 1] = 1
+    return pivots
 
 
-spectral.SpectralSequence._page = corrupt
+spectral.SpectralSequence._reduce = corrupt
 print("exit:", cli.main(["spectral-sequence", "--scheme", sys.argv[1],
                          "--sheaf", "O(-2)"]))
 """
 
 
-def test_convergence_check_survives_python_O(tmp_path):
-    # an emptied E_2 page must fail the page-to-page check, asserts or not
+def _corrupted_reduction_under_O(tmp_path, how):
     scheme = tmp_path / "p1.scheme"
     scheme.write_text("ambient = 1\n")
     src = str(Path(derived_kernel.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-O", "-c", SPECTRAL_CHECK_UNDER_O, str(scheme)],
+        [sys.executable, "-O", "-c", SPECTRAL_CHECK_UNDER_O, str(scheme), how],
         capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["debug: False", "exit: 5"]
-    assert "page 1 -> 2 mismatch" in out.stderr
+    return out.stderr
+
+
+def test_convergence_check_survives_python_O(tmp_path):
+    # a dropped pivot pair leaves both its ends in E_infinity, which the
+    # filtration check against the total homology sees, asserts or not
+    err = _corrupted_reduction_under_O(tmp_path, "drop")
+    assert "filtration mismatch in total degree" in err
+
+
+def test_reduction_check_survives_python_O(tmp_path):
+    # a stored pivot row that is not D times its combination fails the
+    # D*V = R check, asserts or not
+    err = _corrupted_reduction_under_O(tmp_path, "row")
+    assert "filtered reduction: D*V != R in total degree" in err
 
 
 DOUBLE_COMPLEX_CHECKS_UNDER_O = """

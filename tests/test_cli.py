@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import derived_kernel
-from derived_kernel.cli import main
+from derived_kernel.cli import build_parser, main
 from derived_kernel.specfiles import parse_module, parse_scheme, parse_triple
 
 P1_SCHEME = "ambient = 1\ndescription = the projective line\n"
@@ -262,6 +262,39 @@ def test_console_entry_point(files, tmp_path):
     assert data["cohomology"]["0"] == 4
 
 
+def test_one_parser_serves_every_call(files, tmp_path, capsys,
+                                      monkeypatch):
+    # main builds its parser once per process: two in-process calls on
+    # different commands, then a help text and an argument error, give
+    # the bytes and exit codes of fresh processes
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(
+        Path(derived_kernel.__file__).resolve().parents[1]))
+
+    def fresh(argv):
+        out = subprocess.run(
+            [sys.executable, "-m", "derived_kernel.cli"] + argv,
+            capture_output=True, env=env)
+        return out.returncode, out.stdout, out.stderr
+
+    for argv in (["cohomology", "--scheme", files["p1"], "--sheaf", "O",
+                  "--twist", "3"],
+                 ["spectral-sequence", "--scheme", files["dbl"],
+                  "--sheaf", "O"]):
+        report = tmp_path / "r.json"
+        assert main(argv + ["--out", str(report)]) == 0
+        assert fresh(argv) == (0, report.read_bytes(), b"")
+    for argv, code in ((["k0-group", "--help"], 0),
+                       (["k0-group", "--twist", "x"], 2)):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        got = capsys.readouterr()
+        assert fresh(argv) == (code, got.out.encode(), got.err.encode())
+        assert exc.value.code == code
+    assert build_parser() is build_parser()
+
+
 def test_bad_sheaf_name_same_error_everywhere(files, capsys):
     errors = []
     for command in ("cohomology", "sections"):
@@ -361,7 +394,7 @@ entry = g0 -> h0 : 1
 
 EMPTY_MODULE_RUNS = """
 import json, sys
-from derived_kernel.cli import main
+from derived_kernel.cli import build_parser, main
 for argv in json.loads(sys.argv[1]):
     print(main(argv))
 """

@@ -180,3 +180,37 @@ def test_twist_views_share_the_rank_cache():
     ranks = dict(m._rank_cache)
     assert m.homology(0, 1).dim == view.homology(0, -1).dim
     assert m._rank_cache == ranks
+
+
+def test_map_homology_kernel_is_eliminated_once_per_key(monkeypatch):
+    """The kernel of a map's cached homology matrix is cached beside it:
+    repeated surviving-kernel and middle-homology probes over several
+    depths eliminate each matrix at most once."""
+    from derived_kernel.charts import map_homology_pair, triple_defects
+
+    calls = []
+    eliminate = exact_linear._eliminate
+
+    def counting(m):
+        calls.append(m)
+        return eliminate(m)
+
+    monkeypatch.setattr(exact_linear, "_eliminate", counting)
+    f, g = corpus.euler_maps(corpus.p1())
+    for _ in range(2):
+        for L in range(3):
+            for d in range(-1, 3):
+                triple_defects(f, g, 0, d, 0, L, 1)
+                map_homology_pair(f, 0, d, (0,), L, 1).surviving_kernel_dim()
+    for fm in (f, g):
+        assert set(fm._kernel_cache) <= set(fm._homology_cache)
+    cached = [mat for fm in (f, g) for mat in fm._homology_cache.values()
+              if mat.vals]
+    kernels = [mat for fm in (f, g)
+               for key, mat in fm._homology_cache.items()
+               if mat.vals and key in fm._kernel_cache]
+    assert kernels, "no nonzero homology matrix had its kernel asked"
+    for mat in cached:
+        assert sum(1 for m in calls if m is mat) <= 1
+    for mat in kernels:
+        assert sum(1 for m in calls if m is mat) == 1
